@@ -61,11 +61,13 @@ class RunConfig:
     mip: dict = field(default_factory=dict)
     solver: dict = field(default_factory=dict)
     output_dir: str = "out"
-    jobs: int = 1
 
 
 def load_config(source):
-    """RunConfig from a JSON path, fixture name, or parsed document."""
+    """RunConfig from a JSON path, fixture name, or parsed document.
+
+    Keys the config does not know are ignored.
+    """
     if isinstance(source, str):
         if source in _FIXTURE_CONFIGS:
             doc = json.loads(_fixture_path(_FIXTURE_CONFIGS[source]).read_text())
@@ -99,7 +101,6 @@ def load_config(source):
             mip=dict(doc.get("mip", {})),
             solver=dict(doc.get("solver", {})),
             output_dir=doc.get("output_dir", "out"),
-            jobs=int(doc.get("jobs", 1)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed run config: {exc!r}") from exc
@@ -135,11 +136,14 @@ def _build_setup(cfg):
     for bid in cfg.pcc_buses:
         if bid not in [b.id for b in net.buses]:
             raise ValidationError(f"PCC bus {bid!r} not in network")
+    for bid in cfg.monitored_buses or []:
+        if bid not in net.load_order:
+            raise ValidationError(f"monitored bus {bid!r} is not a non-slack bus of the network")
     m = len(cfg.pcc_buses)
     for entry in cfg.cardinality:
         if entry == UNCONSTRAINED:
             continue
-        if not isinstance(entry, int) or not 0 <= entry <= m:
+        if not isinstance(entry, int) or isinstance(entry, bool) or not 0 <= entry <= m:
             raise ValidationError(
                 f"cardinality entry {entry!r} not in [0, {m}] or 'unconstrained'"
             )
@@ -197,6 +201,12 @@ def _solver_settings(cfg):
     if extra:
         raise ValidationError(f"unknown solver settings {sorted(extra)}")
     return _solver.SolverSettings(**cfg.solver)
+
+
+def _timestep_program(lg, conv, hz, t):
+    """Timestep ``t``'s program as the horizon run builds it, DER output included."""
+    ts = _mission._timestep_input(lg, hz, t, _mission._der_output(lg, conv, hz, t))
+    return build_timestep_program(lg, conv, ts)
 
 
 def _label(entry):
@@ -269,13 +279,10 @@ def run(cfg, dump_ir=False, solver_trace=None, mip_trace=None):
     if solver_trace or mip_trace or dump_ir:
         # representative timestep-0 artifacts
         hz0 = horizon(cfg.cardinality[0])
-        ts0 = _mission._timestep_input(lg, hz0, 0, 0.0)
-        ir0 = build_timestep_program(lg, conv, ts0)
+        ir0 = _timestep_program(lg, conv, hz0, 0)
         if dump_ir:
             for entry in cfg.cardinality:
-                hz = horizon(entry)
-                ts = _mission._timestep_input(lg, hz, 0, 0.0)
-                ir = build_timestep_program(lg, conv, ts)
+                ir = _timestep_program(lg, conv, horizon(entry), 0)
                 (outdir / f"ir_{_label(entry)}.json").write_text(serialize_ir(ir) + "\n")
         if solver_trace:
             _solver.solve_socp(
@@ -286,9 +293,7 @@ def run(cfg, dump_ir=False, solver_trace=None, mip_trace=None):
 
     results = []
     for entry in cfg.cardinality:
-        profile = _mission.schedule_horizon(
-            lg, conv, horizon(entry), bnb, settings, jobs=cfg.jobs
-        )
+        profile = _mission.schedule_horizon(lg, conv, horizon(entry), bnb, settings)
         results.append((entry, profile))
 
     unconstrained = next(
@@ -334,7 +339,6 @@ def _fd_checks(net, lg, rng):
             f"max |Y - Y^T| = {np.max(np.abs(Y - Y.T)):.2e}",
         )
     )
-    w = _grid.solve_noload(net, Y)
     v0, _ = _grid.ac_power_flow(net, np.zeros(net.n_bus - 1, complex))
     checks.append(
         (
@@ -372,9 +376,7 @@ def _oracle_checks(cfg, lg, conv, horizon, rng):
     for trial in range(3):
         t = int(rng.integers(0, hz.tau))
         n = int(rng.integers(0, m + 1))
-        ts = _mission._timestep_input(lg, hz, t, 0.0)
-        ts = replace(ts, cardinality_limit=n)
-        ir = build_timestep_program(lg, conv, ts)
+        ir = _timestep_program(lg, conv, replace(hz, cardinality_limit=n), t)
         ms = _mip.solve_misocp(ir, bnb, settings)
         oc = _oracle.enumerate_supports(ir, n, settings)
         if ms.status == "infeasible" or oc.status == "infeasible":
@@ -389,8 +391,7 @@ def _oracle_checks(cfg, lg, conv, horizon, rng):
         n_checked += 1
         checks.append((f"oracle_equivalence_{trial}", ok, detail))
 
-    ts = _mission._timestep_input(lg, hz, 0, 0.0)
-    ir = build_timestep_program(lg, conv, ts)
+    ir = _timestep_program(lg, conv, hz, 0)
     sol = _solver.solve_socp(ir, {}, settings)
     if sol.status == _solver.OPTIMAL:
         tight = _solver.check_relaxation_tightness(ir, sol)
@@ -446,7 +447,7 @@ def main():
     """Cardinality-aware scheduling of multiport converter power transfers."""
 
 
-def _apply_overrides(cfg, network, profiles, cardinality, s_total, loss_coeff, vmin, vmax, out, jobs, seed, mip_rel_gap, mip_abs_gap, node_limit):
+def _apply_overrides(cfg, network, profiles, cardinality, s_total, loss_coeff, vmin, vmax, out, seed, mip_rel_gap, mip_abs_gap, node_limit):
     if network:
         cfg.network = network
     if profiles:
@@ -467,8 +468,6 @@ def _apply_overrides(cfg, network, profiles, cardinality, s_total, loss_coeff, v
         cfg.v_max = vmax
     if out:
         cfg.output_dir = out
-    if jobs is not None:
-        cfg.jobs = jobs
     if seed is not None:
         cfg.seed = seed
     if mip_rel_gap is not None:
@@ -490,7 +489,6 @@ _shared_options = [
     click.option("--vmin", type=float, default=None, help="lower voltage limit, pu"),
     click.option("--vmax", type=float, default=None, help="upper voltage limit, pu"),
     click.option("--out", default=None, help="output directory"),
-    click.option("--jobs", type=int, default=None, help="concurrent timestep solves"),
     click.option("--seed", type=int, default=None, help="seed for synthetic profiles"),
     click.option("--mip-rel-gap", type=float, default=None),
     click.option("--mip-abs-gap", type=float, default=None),

@@ -17,7 +17,7 @@ Conventions:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -51,9 +51,6 @@ class BusNetwork:
     branches: tuple
     slack_voltage: complex = 1.0 + 0.0j
     s_base_kva: float = 1000.0
-    # Optional injections at the operating point; all-zero for every shipped
-    # fixture (time-varying demand enters through the scheduling horizon).
-    fixed_injections: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "buses", tuple(self.buses))
@@ -78,9 +75,6 @@ class BusNetwork:
                 raise ModelError(f"branch {br.from_bus}-{br.to_bus} has negative resistance")
             if abs(complex(br.r_pu, br.x_pu)) == 0.0:
                 raise ModelError(f"branch {br.from_bus}-{br.to_bus} has zero impedance")
-        for bid in self.fixed_injections:
-            if bid not in id_set:
-                raise ModelError(f"fixed injection references unknown bus {bid}")
         # Connectivity over the branch graph.
         adj = {b.id: set() for b in self.buses}
         for br in self.branches:
@@ -120,14 +114,9 @@ class BusNetwork:
         except ValueError:
             raise ModelError(f"bus {bus_id!r} not in network") from None
 
-    def injection_vector(self, injections=None):
+    def injection_vector(self, injections):
         """Complex injections at non-slack buses (mapping or aligned array)."""
         s = np.zeros(self.n_bus - 1, dtype=complex)
-        for bid, val in self.fixed_injections.items():
-            if bid != self.slack_id:
-                s[self.load_order.index(bid)] += complex(val)
-        if injections is None:
-            return s
         if isinstance(injections, dict):
             for bid, val in injections.items():
                 if bid == self.slack_id:
@@ -217,11 +206,8 @@ def _yll_factor(Y):
     return lu
 
 
-def solve_noload(net, Y=None):
-    """No-load voltages at non-slack buses: w = -YLL^-1 YL0 v_slack."""
-    if Y is None:
-        Y = build_admittance(net)
-    lu = _yll_factor(Y)
+def _noload(net, Y, lu):
+    """w = -YLL^-1 YL0 v_slack from the LU factors of YLL, residual-checked."""
     w = scipy.linalg.lu_solve(lu, -Y[1:, 0] * net.slack_voltage)
     resid = np.max(np.abs(Y[1:, 0] * net.slack_voltage + Y[1:, 1:] @ w))
     if resid > 1e-8:
@@ -229,94 +215,37 @@ def solve_noload(net, Y=None):
     return w
 
 
-def ac_power_flow(net, injections, Y=None, tol=PF_TOL, max_iter=PF_MAX_ITER):
+def solve_noload(net):
+    """No-load voltages at non-slack buses: w = -YLL^-1 YL0 v_slack."""
+    Y = build_admittance(net)
+    return _noload(net, Y, _yll_factor(Y))
+
+
+def ac_power_flow(net, injections):
     """Fixed-point AC power flow; returns (all-bus voltages, total loss).
 
     Iterates v <- w + YLL^-1 diag(conj(v))^-1 conj(s) from the no-load
     solution.  Convergence is measured by the infinity norm of the nodal
     power mismatch.  Divergence raises with the last residual attached.
     """
-    if Y is None:
-        Y = build_admittance(net)
+    Y = build_admittance(net)
     lu = _yll_factor(Y)
-    w = solve_noload(net, Y)
+    w = _noload(net, Y, lu)
     s = net.injection_vector(injections)
     v = w.copy()
     resid = np.inf
-    for it in range(max_iter):
+    for it in range(PF_MAX_ITER):
         v_new = w + scipy.linalg.lu_solve(lu, np.conj(s / v))
         if not np.all(np.isfinite(v_new)) or np.any(np.abs(v_new) < 1e-6):
             raise PowerFlowDivergence(resid if np.isfinite(resid) else np.inf, it)
         v = v_new
         mismatch = v * np.conj(Y[1:, 0] * net.slack_voltage + Y[1:, 1:] @ v) - s
         resid = float(np.max(np.abs(mismatch))) if len(mismatch) else 0.0
-        if resid < tol:
+        if resid < PF_TOL:
             v_full = np.concatenate(([net.slack_voltage], v))
             loss = float(np.real(np.conj(v_full) @ Y @ v_full))
             return v_full, loss
-    raise PowerFlowDivergence(resid, max_iter)
-
-
-def _pcc_positions(net, pcc_buses):
-    if pcc_buses is None:
-        return list(range(net.n_bus - 1))
-    loads = net.load_order
-    pos = []
-    for bid in pcc_buses:
-        if bid not in loads:
-            raise ModelError(f"PCC bus {bid!r} is not a non-slack bus of the network")
-        pos.append(loads.index(bid))
-    return pos
-
-
-def linearize_voltage(net, w, pcc_buses=None):
-    """First-order voltage-magnitude model (K, b) at the no-load point.
-
-    Columns of K follow the stacked injection layout [P..., Q...] over the
-    selected buses (all non-slack buses when ``pcc_buses`` is None).  The
-    complex sensitivity is YLL^-1 diag(conj(w))^-1 applied to conjugated
-    power perturbations.
-    """
-    Y = build_admittance(net)
-    Z = scipy.linalg.lu_solve(_yll_factor(Y), np.eye(net.n_bus - 1, dtype=complex))
-    M = (np.conj(w) / np.abs(w))[:, None] * Z / np.conj(w)[None, :]
-    pos = _pcc_positions(net, pcc_buses)
-    K = np.hstack([np.real(M[:, pos]), np.imag(M[:, pos])])
-    return K, np.abs(w)
-
-
-def build_loss_quadratic(net, w, pcc_buses=None):
-    """Quadratic loss surrogate (Lambda, lambda, sigma) at the no-load point.
-
-    Substitutes the affine complex-voltage model into Re(v^H Y v).  Lambda is
-    symmetrized and projected to the PSD cone by clipping negative
-    eigenvalues; sigma is the no-load loss.
-    """
-    Y = build_admittance(net)
-    Z = scipy.linalg.lu_solve(_yll_factor(Y), np.eye(net.n_bus - 1, dtype=complex))
-    n = net.n_bus
-    B = np.zeros((n, n - 1), dtype=complex)
-    B[1:, :] = Z / np.conj(w)[None, :]
-    v_bar = np.concatenate(([net.slack_voltage], w))
-
-    sigma = float(np.real(np.conj(v_bar) @ Y @ v_bar))
-
-    a = B.T @ (Y @ np.conj(v_bar))
-    d = np.conj(B).T @ (Y @ v_bar)
-    lam_p = np.real(a) + np.real(d)
-    lam_q = np.imag(a) - np.imag(d)
-
-    H = np.conj(B).T @ Y @ B
-    HR, HI = np.real(H), np.imag(H)
-    raw = np.block([[HR, HI], [-HI, HR]])
-    Lam = 0.5 * (raw + raw.T)
-    evals, evecs = np.linalg.eigh(Lam)
-    Lam = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
-    Lam = 0.5 * (Lam + Lam.T)
-
-    pos = _pcc_positions(net, pcc_buses)
-    cols = pos + [p + (n - 1) for p in pos]
-    return Lam[np.ix_(cols, cols)], np.concatenate([lam_p, lam_q])[cols], sigma
+    raise PowerFlowDivergence(resid, PF_MAX_ITER)
 
 
 @dataclass(frozen=True)
@@ -396,19 +325,57 @@ class LinearizedGrid:
 
 
 def linearize(net, pcc_buses):
-    """Build the LinearizedGrid for converter terminals at ``pcc_buses``."""
+    """Build the LinearizedGrid for converter terminals at ``pcc_buses``.
+
+    Both models are expanded about the no-load point w and share one
+    factorization of YLL and its inverse Z:
+
+      * voltage magnitudes, V = K x + b: the complex sensitivity is
+        YLL^-1 diag(conj(w))^-1 applied to conjugated power perturbations,
+        and b = |w|;
+      * network loss: the affine complex-voltage model substituted into
+        Re(v^H Y v).  Lambda is symmetrized and projected to the PSD cone by
+        clipping negative eigenvalues; sigma is the no-load loss.
+
+    Columns follow the stacked injection layout [P..., Q...], over every
+    non-slack bus for the ``full_*`` arrays and over the PCC buses otherwise.
+    """
     if len(set(pcc_buses)) != len(pcc_buses):
         raise ModelError("PCC buses must be distinct")
-    Y = build_admittance(net)
-    w = solve_noload(net, Y)
-    full_K, b = linearize_voltage(net, w)
-    full_Lambda, full_lam, sigma = build_loss_quadratic(net, w)
-    n1 = net.n_bus - 1
-    pos = _pcc_positions(net, pcc_buses)
+    n = net.n_bus
+    n1 = n - 1
+    loads = net.load_order
+    for bid in pcc_buses:
+        if bid not in loads:
+            raise ModelError(f"PCC bus {bid!r} is not a non-slack bus of the network")
+    pos = [loads.index(bid) for bid in pcc_buses]
     cols = pos + [p + n1 for p in pos]
-    grid = LinearizedGrid(
+    Y = build_admittance(net)
+    lu = _yll_factor(Y)
+    w = _noload(net, Y, lu)
+    Z = scipy.linalg.lu_solve(lu, np.eye(n1, dtype=complex))
+
+    M = (np.conj(w) / np.abs(w))[:, None] * Z / np.conj(w)[None, :]
+    full_K = np.hstack([np.real(M), np.imag(M)])
+
+    B = np.zeros((n, n1), dtype=complex)
+    B[1:, :] = Z / np.conj(w)[None, :]
+    v_bar = np.concatenate(([net.slack_voltage], w))
+    sigma = float(np.real(np.conj(v_bar) @ Y @ v_bar))
+    a = B.T @ (Y @ np.conj(v_bar))
+    d = np.conj(B).T @ (Y @ v_bar)
+    full_lam = np.concatenate([np.real(a) + np.real(d), np.imag(a) - np.imag(d)])
+    H = np.conj(B).T @ Y @ B
+    HR, HI = np.real(H), np.imag(H)
+    raw = np.block([[HR, HI], [-HI, HR]])
+    Lam = 0.5 * (raw + raw.T)
+    evals, evecs = np.linalg.eigh(Lam)
+    Lam = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
+    full_Lambda = 0.5 * (Lam + Lam.T)
+
+    return LinearizedGrid(
         K=full_K[:, cols],
-        b=b,
+        b=np.abs(w),
         loss_quad=LossQuadratic(
             Lambda=full_Lambda[np.ix_(cols, cols)], lam=full_lam[cols], sigma=sigma
         ),
@@ -419,7 +386,6 @@ def linearize(net, pcc_buses):
         full_lam=full_lam,
         s_base_kva=net.s_base_kva,
     )
-    return grid
 
 
 def two_bus_network(z=0.01 + 0.1j, slack_voltage=1.0 + 0.0j, b_shunt=0.0):

@@ -29,16 +29,10 @@ class BnBConfig:
     rel_gap: float = 1e-4
     abs_gap: float = 1e-5
     node_limit: int = 10000
-    branching: str = "most-fractional"
-    exploration: str = "best-bound"
 
     def __post_init__(self):
         if not (self.rel_gap > 0 and self.abs_gap > 0):
             raise ValidationError("gap tolerances must be positive")
-        if self.branching != "most-fractional":
-            raise ValidationError(f"unknown branching rule {self.branching!r}")
-        if self.exploration != "best-bound":
-            raise ValidationError(f"unknown exploration rule {self.exploration!r}")
 
 
 @dataclass
@@ -165,27 +159,31 @@ def solve_misocp(ir, cfg=None, settings=None, trace=None):
 
     incumbent_fix = None
     incumbent_obj = np.inf
-    counter = 0
+
+    def within_gap(bound):
+        return incumbent_fix is not None and bound >= incumbent_obj - max(
+            cfg.abs_gap, cfg.rel_gap * abs(incumbent_obj)
+        )
+
     # heap entries: (inherited lower bound, counter, fixings); node relaxations
     # are solved lazily at pop time so pruned nodes cost nothing.
     heap = [(-np.inf, 0, {})]
     counter = 1
     nodes_explored = 0
+    # Nodes fathomed inside the gap may sit below the incumbent, so the least
+    # of their bounds stays part of the global lower bound.
+    pruned_bound = np.inf
 
-    status = "optimal"
-    global_bound = -np.inf
+    status = None
     while heap:
         bound, _, fixed = heapq.heappop(heap)
-        global_bound = bound
-        if incumbent_fix is not None:
-            threshold = max(cfg.abs_gap, cfg.rel_gap * abs(incumbent_obj))
-            if bound >= incumbent_obj - threshold:
-                # best-bound order: everything still open is at least as costly
-                tol0 = 1e-9 * max(1.0, abs(incumbent_obj))
-                status = "optimal" if incumbent_obj - bound <= tol0 else "gap_reached"
-                break
+        if within_gap(bound):
+            # best-bound order: everything still open is at least as costly
+            open_bound = bound
+            break
         if nodes_explored >= cfg.node_limit:
             status = "node_limit"
+            open_bound = bound
             break
         nodes_explored += 1
 
@@ -205,9 +203,8 @@ def solve_misocp(ir, cfg=None, settings=None, trace=None):
                     ";".join(f"{z}={int(v)}" for z, v in sorted(fixed.items())),
                 )
             )
-        if incumbent_fix is not None and bound >= incumbent_obj - max(
-            cfg.abs_gap, cfg.rel_gap * abs(incumbent_obj)
-        ):
+        if within_gap(bound):
+            pruned_bound = min(pruned_bound, bound)
             continue  # fathomed by bound
 
         repaired = _repair_support(ir, sol, fixed)
@@ -230,8 +227,8 @@ def solve_misocp(ir, cfg=None, settings=None, trace=None):
             heapq.heappush(heap, (bound, counter, child_fixed))
             counter += 1
     else:
-        status = "optimal"
-        global_bound = incumbent_obj if incumbent_fix is not None else None
+        open_bound = incumbent_obj
+    global_bound = min(pruned_bound, open_bound)
 
     if trace is not None:
         with open(trace, "w") as fh:
@@ -243,6 +240,9 @@ def solve_misocp(ir, cfg=None, settings=None, trace=None):
         if status == "node_limit":
             return MipSolution("node_limit", None, None, global_bound, None, None, nodes_explored, {})
         return MipSolution("infeasible", None, None, None, None, None, nodes_explored, {})
+    if status is None:
+        tol0 = 1e-9 * max(1.0, abs(incumbent_obj))
+        status = "optimal" if incumbent_obj - global_bound <= tol0 else "gap_reached"
 
     # Final verification solve with binaries hard-fixed (checks big-M semantics).
     final = _solver.solve_socp(ir, incumbent_fix, settings)

@@ -14,7 +14,6 @@ naturally against capacity in kVA.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,13 +152,16 @@ def _timestep_input(grid, horizon, t, p_der_pu):
     )
 
 
+def _der_output(grid, conv, horizon, t):
+    """dc-link DER output at timestep ``t``, pu; 0 without a dc-link DER."""
+    if horizon.der is None or not conv.has_dc_der:
+        return 0.0
+    return horizon.der.peak_kw * horizon.profiles[horizon.der.profile][t] / grid.s_base_kva
+
+
 def _solve_timestep(grid, conv, horizon, cfg, settings, t):
     s_base = grid.s_base_kva
-    if horizon.der is not None and conv.has_dc_der:
-        p_der_pu = horizon.der.peak_kw * horizon.profiles[horizon.der.profile][t] / s_base
-    else:
-        p_der_pu = 0.0
-    ts = _timestep_input(grid, horizon, t, p_der_pu)
+    ts = _timestep_input(grid, horizon, t, _der_output(grid, conv, horizon, t))
     ir = build_timestep_program(grid, conv, ts)
     baseline_kw = ir.loss_model["sigma"] * s_base
     m = conv.m
@@ -204,26 +206,15 @@ def _solve_timestep(grid, conv, horizon, cfg, settings, t):
     )
 
 
-def schedule_horizon(grid, conv, horizon, cfg=None, settings=None, jobs=1):
-    """Solve every timestep and assemble the mission profile.
+def schedule_horizon(grid, conv, horizon, cfg=None, settings=None):
+    """Solve every timestep in order and assemble the mission profile.
 
-    Timesteps are independent given the immutable grid/converter models, so
-    they may run on a worker pool; results are keyed by index, making the
-    output identical regardless of execution order.  Infeasible timesteps
-    are recorded with zero transfers and the run continues.
+    Infeasible timesteps are recorded with zero transfers and the run
+    continues.
     """
     tau = horizon.tau
-    m = conv.m
     cfg = cfg or _mip.BnBConfig()
-
-    def work(t):
-        return _solve_timestep(grid, conv, horizon, cfg, settings, t)
-
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, range(tau)))
-    else:
-        results = [work(t) for t in range(tau)]
+    results = [_solve_timestep(grid, conv, horizon, cfg, settings, t) for t in range(tau)]
 
     p_mp = np.vstack([r["p"] for r in results])
     q_mp = np.vstack([r["q"] for r in results])

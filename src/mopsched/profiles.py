@@ -67,7 +67,9 @@ def synthetic_profiles(days=2, steps_per_day=48, seed=7):
     for i in range(1, n):
         ar[i] = 0.96 * ar[i - 1] + 0.28 * rng.standard_normal()
     kernel = np.ones(5) / 5.0
-    smooth = np.convolve(ar, kernel, mode="same")
+    # the centred n samples of the full convolution; mode="same" would
+    # return max(n, 5) of them
+    smooth = np.convolve(ar, kernel)[2 : 2 + n]
     out["wind"] = _normalize(1.0 / (1.0 + np.exp(-1.4 * smooth)) - 0.08)
     return out
 

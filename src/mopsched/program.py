@@ -66,7 +66,9 @@ class TimestepInput:
         if not self.v_min < self.v_max:
             raise ValidationError("voltage limits must satisfy v_min < v_max")
         n = self.cardinality_limit
-        if n != UNCONSTRAINED and (not isinstance(n, (int, np.integer)) or n < 0):
+        if n != UNCONSTRAINED and (
+            not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0
+        ):
             raise ValidationError(
                 "cardinality_limit must be 'unconstrained' or a nonnegative integer"
             )
@@ -143,10 +145,6 @@ class ConicProgramIR:
         return self
 
 
-def _pu(value):
-    return float(value)
-
-
 def build_timestep_program(grid, conv, ts):
     """Assemble the timestep's conic program for ``conv`` on ``grid``.
 
@@ -194,7 +192,7 @@ def build_timestep_program(grid, conv, ts):
     # dc-link power balance over all dc-side entries.
     equalities.append(Row({v: 1.0 for v in p_dc}, 0.0, tag="dc_balance"))
     if conv.has_dc_der:
-        equalities.append(Row({p_dc[m]: 1.0}, _pu(ts.p_der), tag="der_pin"))
+        equalities.append(Row({p_dc[m]: 1.0}, float(ts.p_der), tag="der_pin"))
     # per-leg balance and linear converter loss.
     for i in range(m):
         equalities.append(
@@ -212,17 +210,20 @@ def build_timestep_program(grid, conv, ts):
 
     inequalities = []
     mon = ts.monitored_buses
+    unknown = [b for b in mon or () if b not in grid.bus_order]
+    if unknown:
+        raise ValidationError(f"monitored buses {unknown} are not non-slack buses of the grid")
     bus_rows = range(len(grid.bus_order)) if mon is None else [
         grid.bus_order.index(b) for b in mon
     ]
     for r in bus_rows:
         bus = grid.bus_order[r]
         coeffs = {v: float(grid.K[r, j]) for j, v in enumerate(x_vars) if grid.K[r, j] != 0.0}
-        inequalities.append(Row(dict(coeffs), _pu(ts.v_max - grid.b[r]), tag=f"v_upper[{bus}]"))
+        inequalities.append(Row(dict(coeffs), float(ts.v_max - grid.b[r]), tag=f"v_upper[{bus}]"))
         inequalities.append(
-            Row({v: -c for v, c in coeffs.items()}, _pu(grid.b[r] - ts.v_min), tag=f"v_lower[{bus}]")
+            Row({v: -c for v, c in coeffs.items()}, float(grid.b[r] - ts.v_min), tag=f"v_lower[{bus}]")
         )
-    inequalities.append(Row({v: 1.0 for v in s_c}, _pu(conv.s_total), tag="capacity"))
+    inequalities.append(Row({v: 1.0 for v in s_c}, float(conv.s_total), tag="capacity"))
 
     big_m = None
     if n_card != UNCONSTRAINED:

@@ -18,15 +18,12 @@ solution and per-row duals.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ValidationError
-
-_DEBUG = bool(os.environ.get("MOPSCHED_DEBUG"))
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -293,8 +290,6 @@ def solve_conelp(c, A, b, G, h, dims, settings=None, trace_rows=None):
             trace_rows.append(
                 (it, pcost, dcost, gap, pres, dres, float(tau), float(kappa))
             )
-        if _DEBUG:
-            assert s @ z > -1e-12 and tau > 0 and kappa > 0
 
         if pres <= st.feastol and dres <= st.feastol and (
             gap <= st.abstol or relgap <= st.reltol
@@ -459,7 +454,6 @@ class _Presolved:
     def __init__(self, ir, fixings):
         self.ir = ir
         self.fixed = {}
-        self.fix_sources = {}  # var -> "caller" | "eq" | "cone"
         self.eqs = [
             {"coeffs": dict(r.coeffs), "rhs": float(r.rhs), "idx": i}
             for i, r in enumerate(ir.equalities)
@@ -492,10 +486,10 @@ class _Presolved:
             val = float(val)
             if val not in (0.0, 1.0):
                 raise ValidationError(f"binary fixing {name}={val} is not in {{0, 1}}")
-            self._fix(name, val, "caller")
+            self._fix(name, val)
         self._run()
 
-    def _fix(self, var, val, source):
+    def _fix(self, var, val):
         if var in self.fixed:
             if abs(self.fixed[var] - val) > _FIX_CONFLICT_TOL:
                 raise _Infeasible(
@@ -503,7 +497,6 @@ class _Presolved:
                 )
             return
         self.fixed[var] = val
-        self.fix_sources[var] = source
 
     def _substitute(self):
         for row in self.eqs + self.ineqs:
@@ -538,7 +531,7 @@ class _Presolved:
                         if abs(row["rhs"]) > _FEAS_TOL:
                             raise _Infeasible(f"degenerate equality row {row['idx']}")
                     else:
-                        self._fix(var, row["rhs"] / coef, "eq")
+                        self._fix(var, row["rhs"] / coef)
                         self.removed_eq_events.append((row["idx"], var, coef))
                     self.eqs.remove(row)
                     changed = True
@@ -588,12 +581,12 @@ class _Presolved:
                 continue
             if abs(self.obj_coeffs.get(var, 0.0)) > 0:
                 raise _Unbounded(f"variable {var} is unconstrained with nonzero cost")
-            self._fix(var, 0.0, "eq")
+            self._fix(var, 0.0)
         self._substitute()
         self.free_vars = [v for v in self.ir.variables if v not in self.fixed]
 
     def _collapse_cone(self, cone, head):
-        self._fix(head, 0.0, "cone")
+        self._fix(head, 0.0)
         self.cone_zero_vars.add(head)
         for coeffs, const in cone["tail"]:
             live = {v: c for v, c in coeffs.items() if v not in self.fixed}
@@ -603,7 +596,7 @@ class _Presolved:
                     raise _Infeasible(f"cone on {head} forces {shift:.3e} = 0")
             elif len(live) == 1:
                 (var, coef), = live.items()
-                self._fix(var, -shift / coef, "cone")
+                self._fix(var, -shift / coef)
                 self.cone_zero_vars.add(var)
             else:
                 self.eqs.append(

@@ -110,6 +110,22 @@ class TestRun:
         result = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
         assert result.exit_code == 2
 
+    def test_unknown_monitored_bus_exits_2(self, small_config):
+        path, cfg = small_config
+        cfg["voltage"]["monitored_buses"] = ["bus_99"]
+        path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "bus_99" in result.output
+
+    def test_boolean_cardinality_exits_2(self, small_config):
+        path, cfg = small_config
+        cfg["cardinality"] = [True]
+        path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert result.exit_code == 2
+        assert not Path(cfg["output_dir"]).exists()
+
     def test_dump_ir_and_traces(self, small_config, tmp_path):
         path, cfg = small_config
         solver_trace = tmp_path / "ipm.csv"
@@ -160,14 +176,32 @@ class TestRun:
         assert len(rows) == 6
 
 
+class TestLoadConfig:
+    def test_unknown_keys_ignored(self, small_config):
+        _, doc = small_config
+        assert doc["jobs"] == 1  # a key older configs carry
+        cfg = cli.load_config(doc)
+        assert cfg.network == "5bus" and not hasattr(cfg, "jobs")
+
+
 class TestVerify:
-    def test_fixture_passes(self, tmp_path):
+    def test_fixture_passes(self, tmp_path, monkeypatch):
+        p_der = []
+        build = cli.build_timestep_program
+
+        def recording_build(lg, conv, ts):
+            p_der.append(ts.p_der)
+            return build(lg, conv, ts)
+
+        monkeypatch.setattr(cli, "build_timestep_program", recording_build)
         result = CliRunner().invoke(
             cli.main, ["verify", "--config", "5bus", "--out", str(tmp_path)]
         )
         assert result.exit_code == 0, result.output
         report = (tmp_path / "verify_report.csv").read_text()
         assert "FAIL" not in report
+        # checked programs are built as the run builds them, dc-link solar included
+        assert any(p > 0.0 for p in p_der)
 
     def test_corrupted_lambda_fails(self, tmp_path):
         runner = CliRunner()

@@ -8,7 +8,7 @@ from mopsched import oracle as O
 from mopsched import solver as S
 from mopsched.errors import ValidationError
 from mopsched.mission import electrical_cardinality
-from mopsched.program import UNCONSTRAINED
+from mopsched.program import UNCONSTRAINED, build_timestep_program
 
 from conftest import instance5, instance33
 
@@ -74,8 +74,15 @@ class TestSolveMisocp:
         assert abs(objs[4] - unc.objective) < 1e-8
 
     def test_bound_is_valid_lower_bound(self, grid33, conv33, bg33):
-        for n in (1, 2, 3):
-            ir = instance33(grid33, conv33, bg33, cardinality=n)
+        cases = [(instance33(grid33, conv33, bg33, cardinality=n), n) for n in (1, 2, 3)]
+        # ieee33 fixture (seed 7) at t=66, n=2: a node fathomed inside the gap
+        # holds the least bound, below the incumbent
+        from mopsched import cli, mission
+
+        _, lg, conv, horizon = cli._build_setup(cli.load_config("ieee33"))
+        ts = mission._timestep_input(lg, horizon(2), 66, 0.0)
+        cases.append((build_timestep_program(lg, conv, ts), 2))
+        for ir, n in cases:
             ms = M.solve_misocp(ir)
             oc = O.enumerate_supports(ir, n)
             assert ms.bound <= oc.objective + 1e-8
@@ -143,5 +150,3 @@ class TestSolveMisocp:
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             M.BnBConfig(rel_gap=0.0)
-        with pytest.raises(ValidationError):
-            M.BnBConfig(branching="pseudo-cost")

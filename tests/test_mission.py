@@ -110,13 +110,6 @@ class TestScheduleHorizon:
         # capacity: sum of legs within total rating
         assert np.all(mp.s_mp.sum(axis=1) <= mp.s_total_kva * (1 + 1e-9))
 
-    def test_jobs_do_not_change_results(self, grid5, conv5):
-        hz = small_horizon(tau=4)
-        a = MS.schedule_horizon(grid5, conv5, hz, jobs=1)
-        b = MS.schedule_horizon(grid5, conv5, hz, jobs=3)
-        assert np.array_equal(a.p_mp, b.p_mp)
-        assert np.array_equal(a.objective_kw, b.objective_kw)
-
     def test_mec_of_n1_run_is_one(self, grid5, conv5):
         hz = small_horizon(tau=3, cardinality=1)
         mp = MS.schedule_horizon(grid5, conv5, hz)
@@ -270,6 +263,11 @@ class TestSyntheticProfiles:
             assert a[name].min() >= 0.0
             assert a[name].max() == pytest.approx(1.0)
             assert len(a[name]) == 48
+
+    def test_horizons_shorter_than_the_wind_kernel(self):
+        for n in range(1, 5):
+            p = PR.synthetic_profiles(days=1, steps_per_day=n, seed=3)
+            assert all(len(series) == n for series in p.values())
 
     def test_solar_dark_at_night(self):
         p = PR.synthetic_profiles(days=1, steps_per_day=48, seed=5)

@@ -97,6 +97,12 @@ class TestStructure:
         assert len(v_rows) == 2
         assert all("bus_3" in r.tag for r in v_rows)
 
+    def test_unknown_monitored_bus_rejected(self, grid5, conv5):
+        for bus in ("bus_99", "bus_1"):  # bus_1 is the slack bus
+            ts = TimestepInput(v_min=0.9, v_max=1.1, monitored_buses=[bus])
+            with pytest.raises(ValidationError, match=bus):
+                build_timestep_program(grid5, conv5, ts)
+
     def test_cardinality_exceeding_m_rejected(self, grid5, conv5):
         ts = TimestepInput(v_min=0.9, v_max=1.1, cardinality_limit=3)
         with pytest.raises(ValidationError, match="exceeds"):
@@ -183,6 +189,8 @@ class TestValidation:
             TimestepInput(v_min=1.1, v_max=0.9)
         with pytest.raises(ValidationError):
             TimestepInput(v_min=0.9, v_max=1.1, cardinality_limit=-1)
+        with pytest.raises(ValidationError):
+            TimestepInput(v_min=0.9, v_max=1.1, cardinality_limit=True)
 
     def test_grid_converter_mismatch(self, grid5):
         conv = ConverterSpec(pcc_buses=("bus_5", "bus_3"), s_total=0.4)

@@ -181,6 +181,7 @@ def _build_setup(cfg):
             monitored_buses=cfg.monitored_buses,
         )
 
+    horizon(UNCONSTRAINED)  # rejects bad horizon data before any output is written
     return net, lg, conv, horizon
 
 

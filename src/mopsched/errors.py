@@ -13,19 +13,6 @@ class ValidationError(MopschedError):
     """Caller-supplied data violates a documented invariant."""
 
 
-class IRParseError(ValidationError):
-    """A serialized program document is malformed.
-
-    ``locus`` identifies the offending section/row/field.
-    """
-
-    def __init__(self, message, locus=None):
-        self.locus = locus
-        if locus is not None:
-            message = f"{message} (at {locus})"
-        super().__init__(message)
-
-
 class PowerFlowDivergence(ModelError):
     """The fixed-point power flow failed to converge.
 

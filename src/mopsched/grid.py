@@ -67,10 +67,14 @@ class BusNetwork:
         bad_kind = [b.id for b in self.buses if b.kind not in ("slack", "load")]
         if bad_kind:
             raise ModelError(f"unknown bus kind on {bad_kind}")
+        if not (np.isfinite(self.s_base_kva) and np.isfinite(self.slack_voltage)):
+            raise ModelError("network base power and slack voltage must be finite")
         id_set = set(ids)
         for br in self.branches:
             if br.from_bus not in id_set or br.to_bus not in id_set:
                 raise ModelError(f"branch {br.from_bus}-{br.to_bus} references unknown bus")
+            if not np.all(np.isfinite([br.r_pu, br.x_pu, br.b_shunt_pu])):
+                raise ModelError(f"branch {br.from_bus}-{br.to_bus} has a non-finite parameter")
             if br.r_pu < 0:
                 raise ModelError(f"branch {br.from_bus}-{br.to_bus} has negative resistance")
             if abs(complex(br.r_pu, br.x_pu)) == 0.0:

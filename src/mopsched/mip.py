@@ -17,11 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import MopschedError, ValidationError
-from .program import ConicProgramIR, Row
+from .program import EC_EPS_FRACTION, ConicProgramIR, Row
 from . import solver as _solver
 
 _INT_TOL = 1e-6
-_SUPPORT_EPS_FRAC = 1e-5  # of big_m, for repair support detection
 
 
 @dataclass(frozen=True)
@@ -71,6 +70,7 @@ def _relaxed_program(ir, fixed):
         objective=ir.objective,
         big_m=ir.big_m,
         loss_model=ir.loss_model,
+        converter=ir.converter,
     )
 
 
@@ -107,29 +107,19 @@ def _solve_relaxation(ir, fixed, settings):
 def _repair_support(ir, sol, fixed):
     """Integral fixing matching the relaxation's active legs, if within budget.
 
-    Big-M rows pair each binary with one apparent-power variable; a leg is
-    active when that variable exceeds a support tolerance.  Returns None when
-    the active count exceeds the cardinality budget.
+    Each indicator gates one apparent-power variable; a leg is active when
+    that variable exceeds the support tolerance.  Returns None when the
+    active count exceeds the cardinality budget.
     """
-    support_eps = _SUPPORT_EPS_FRAC * ir.big_m
-    pair = {}
-    budget = None
-    for row in ir.inequalities:
-        if row.tag.startswith("big_m"):
-            z = next(v for v in row.coeffs if v in ir.binaries)
-            s = next(v for v in row.coeffs if v not in ir.binaries)
-            pair[z] = s
-        elif row.tag == "cardinality":
-            budget = row.rhs
-    if budget is None or set(pair) != set(ir.binaries):
-        return None
+    support_eps = EC_EPS_FRACTION * ir.big_m
+    gated = ir.cardinality["indicators"]
     repaired = {}
     for z in ir.binaries:
         if z in fixed:
             repaired[z] = fixed[z]
         else:
-            repaired[z] = 1.0 if sol.primal[pair[z]] > support_eps else 0.0
-    if sum(repaired.values()) > budget + 1e-9:
+            repaired[z] = 1.0 if sol.primal[gated[z]] > support_eps else 0.0
+    if sum(repaired.values()) > ir.cardinality["budget"] + 1e-9:
         return None
     return repaired
 
@@ -156,6 +146,8 @@ def solve_misocp(ir, cfg=None, settings=None, trace=None):
         if sol.status == _solver.INFEASIBLE:
             return MipSolution("infeasible", None, None, None, None, None, 1, {})
         raise MopschedError(f"continuous solve failed with status {sol.status}")
+    if set(ir.cardinality.get("indicators", ())) != set(ir.binaries):
+        raise ValidationError("program has binaries but no cardinality record for them")
 
     incumbent_fix = None
     incumbent_obj = np.inf

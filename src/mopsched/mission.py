@@ -14,16 +14,15 @@ naturally against capacity in kVA.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import MopschedError, ValidationError
-from .program import UNCONSTRAINED, TimestepInput, build_timestep_program
+from .program import EC_EPS_FRACTION, UNCONSTRAINED, TimestepInput, build_timestep_program
 from . import mip as _mip
 from . import solver as _solver
-
-EC_EPS_FRACTION = 1e-5  # of total converter capacity
 
 
 @dataclass(frozen=True)
@@ -68,6 +67,18 @@ class HorizonInput:
                 raise ValidationError(f"load at {load.bus} references unknown profile {load.profile!r}")
         if self.der is not None and self.der.profile not in self.profiles:
             raise ValidationError(f"DER references unknown profile {self.der.profile!r}")
+        numbers = [
+            ("timestep_hours", self.timestep_hours),
+            ("v_min", self.v_min),
+            ("v_max", self.v_max),
+        ]
+        for load in self.loads:
+            numbers += [(f"load at {load.bus}", v) for v in (load.peak_kw, load.peak_kvar)]
+        if self.der is not None:
+            numbers.append(("DER peak_kw", self.der.peak_kw))
+        bad = [name for name, v in numbers if not np.isfinite(v)]
+        if bad:
+            raise ValidationError(f"non-finite horizon data: {', '.join(bad)}")
         if self.timestep_hours <= 0:
             raise ValidationError("timestep duration must be positive")
 
@@ -120,8 +131,10 @@ class MissionProfile:
 def electrical_cardinality(row, eps):
     """Count of apparent-power transfers strictly greater than ``eps``."""
     row = np.asarray(row, dtype=float)
-    if eps <= 0:
-        raise ValidationError("tolerance eps must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValidationError("tolerance eps must be finite and positive")
+    if not np.all(np.isfinite(row)):
+        raise ValidationError("apparent powers must be finite")
     if np.any(row < 0):
         raise ValidationError("apparent powers cannot be negative")
     return int(np.sum(row > eps))
@@ -246,7 +259,8 @@ def schedule_horizon(grid, conv, horizon, cfg=None, settings=None):
 
 
 def summarize(profiles, baseline_loss_series):
-    """Cross-run report: losses, reductions, EC distributions.
+    """Cross-run report: losses, reductions, EC distributions, and per run
+    the count of each timestep status and the message of each ``error`` step.
 
     ``baseline_loss_series`` is the no-converter network loss per timestep
     (kW).  The unconstrained run, when present, anchors the
@@ -297,6 +311,8 @@ def summarize(profiles, baseline_loss_series):
                 "zero_ec_fraction": float(np.mean(p.ec_series == 0)),
                 "infeasible_timesteps": p.n_infeasible,
                 "max_relaxation_gap": p.max_tightness,
+                "status_counts": dict(sorted(Counter(p.status).items())),
+                "errors": {str(t): msg for t, msg in p.extra.get("errors", {}).items()},
             }
         )
     return {

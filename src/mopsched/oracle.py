@@ -83,33 +83,20 @@ def _instance_data(ir):
     lm = ir.loss_model
     if not lm:
         raise ValidationError("program carries no loss model metadata")
+    if not ir.converter:
+        raise ValidationError("program carries no converter record")
     x_vars = list(lm["x_vars"])
-    m = len(x_vars) // 2
-    k = None
-    for row in ir.equalities:
-        if row.tag.startswith("conv_loss"):
-            k = -min(row.coeffs.values())
-            break
-    p_der = 0.0
-    for row in ir.equalities:
-        if row.tag == "der_pin":
-            p_der = row.rhs
-    s_total = None
-    v_rows = []
-    for row in ir.inequalities:
-        if row.tag == "capacity":
-            s_total = row.rhs
-        elif row.tag.startswith("v_"):
-            v_rows.append(
-                (np.array([row.coeffs.get(v, 0.0) for v in x_vars]), row.rhs)
-            )
-    if k is None or s_total is None:
-        raise ValidationError("program lacks converter loss or capacity rows")
+    # the voltage rows are the only inequalities over terminal injections alone
+    v_rows = [
+        (np.array([row.coeffs.get(v, 0.0) for v in x_vars]), row.rhs)
+        for row in ir.inequalities
+        if set(row.coeffs) <= set(x_vars)
+    ]
     return {
-        "m": m,
-        "k": float(k),
-        "p_der": float(p_der),
-        "s_total": float(s_total),
+        "m": len(x_vars) // 2,
+        "k": ir.converter["k"],
+        "p_der": ir.converter["p_der"],
+        "s_total": ir.converter["s_total"],
         "v_rows": v_rows,
         "Lambda": np.asarray(lm["Lambda"], float),
         "lam": np.asarray(lm["lam"], float),

@@ -104,11 +104,14 @@ def read_profiles_csv(path):
                 )
             for name, val in zip(names, row[1:]):
                 try:
-                    cols[name].append(float(val))
+                    num = float(val)
                 except ValueError:
+                    num = np.nan
+                if not np.isfinite(num):
                     raise ValidationError(
                         f"profiles file {path} line {row_num}: bad number {val!r}"
-                    ) from None
+                    )
+                cols[name].append(num)
     out = {name: np.asarray(vals) for name, vals in cols.items()}
     for name, series in out.items():
         if np.any(series < 0):

@@ -8,10 +8,13 @@ active legs.
 
 The IR is a plain value object: named variables, tagged linear rows,
 second-order-cone memberships (head variable bounds the Euclidean norm of a
-list of affine expressions), a linear objective, and the big-M constant.  A
-``loss_model`` section carries the exact loss quadratic so that diagnostics
-and oracles can evaluate the unrelaxed objective without re-deriving it from
-the cone factorization.
+list of affine expressions), a linear objective, and the big-M constant.
+Three records state the model as data next to the rows, so that no consumer
+parses row tags back: ``loss_model`` carries the exact loss quadratic (for
+diagnostics and oracles that evaluate the unrelaxed objective),
+``cardinality`` maps each binary indicator to the leg variable it gates and
+holds the budget, and ``converter`` holds the converter constants.  The
+rows' tags are labels for people reading a ``serialize_ir`` dump.
 """
 
 from __future__ import annotations
@@ -21,9 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IRParseError, ModelError, ValidationError
+from .errors import ModelError, ValidationError
 
 UNCONSTRAINED = "unconstrained"
+# A transfer counts as nonzero above this fraction of the converter capacity;
+# branch-and-bound's support repair and the EC metric share the rule.
+EC_EPS_FRACTION = 1e-5
 
 
 @dataclass(frozen=True)
@@ -41,10 +47,10 @@ class ConverterSpec:
             raise ValidationError("converter needs at least 2 terminals")
         if len(set(self.pcc_buses)) != self.m:
             raise ValidationError("PCC buses must be distinct")
-        if self.k < 0:
-            raise ValidationError("loss coefficient k must be nonnegative")
-        if not self.s_total > 0:
-            raise ValidationError("total capacity must be positive")
+        if not (np.isfinite(self.k) and self.k >= 0):
+            raise ValidationError("loss coefficient k must be finite and nonnegative")
+        if not (np.isfinite(self.s_total) and self.s_total > 0):
+            raise ValidationError("total capacity must be finite and positive")
 
     @property
     def m(self):
@@ -107,6 +113,9 @@ class ConicProgramIR:
     objective: AffExpr
     big_m: object = None  # scalar, None when no binaries
     loss_model: dict = field(default_factory=dict)
+    # {"indicators": {binary: gated variable}, "budget": n}; {} without binaries
+    cardinality: dict = field(default_factory=dict)
+    converter: dict = field(default_factory=dict)  # {"k", "s_total", "p_der"}
 
     def validate(self):
         names = set(self.variables)
@@ -142,6 +151,11 @@ class ConicProgramIR:
                     raise ValidationError(f"binary {z!r} appears in a cone")
             if z in self.objective.coeffs:
                 raise ValidationError(f"binary {z!r} appears in the objective")
+        for z, gated in self.cardinality.get("indicators", {}).items():
+            if z not in self.binaries:
+                raise ValidationError(f"indicator {z!r} is not a binary")
+            if gated not in names:
+                raise ValidationError(f"indicator {z!r} gates unknown variable {gated!r}")
         return self
 
 
@@ -270,6 +284,14 @@ def build_timestep_program(grid, conv, ts):
         objective=objective,
         big_m=big_m,
         loss_model=loss_model,
+        cardinality=(
+            {"indicators": dict(zip(z, s_c)), "budget": int(n_card)} if z else {}
+        ),
+        converter={
+            "k": float(conv.k),
+            "s_total": float(conv.s_total),
+            "p_der": float(ts.p_der),
+        },
     )
     return ir.validate()
 
@@ -303,88 +325,7 @@ def serialize_ir(ir):
         "objective": _expr_doc(ir.objective),
         "big_m": ir.big_m,
         "loss_model": ir.loss_model,
+        "cardinality": ir.cardinality,
+        "converter": ir.converter,
     }
     return json.dumps(doc, indent=1)
-
-
-def _parse_coeffs(doc, locus):
-    if not isinstance(doc, dict):
-        raise IRParseError("coeffs must be an object", locus)
-    out = {}
-    for name, val in doc.items():
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise IRParseError(f"coefficient of {name!r} is not a number", locus)
-        out[str(name)] = float(val)
-    return out
-
-
-def _parse_row(doc, locus):
-    if not isinstance(doc, dict) or "coeffs" not in doc or "rhs" not in doc:
-        raise IRParseError("row needs 'coeffs' and 'rhs'", locus)
-    if not isinstance(doc["rhs"], (int, float)) or isinstance(doc["rhs"], bool):
-        raise IRParseError("rhs is not a number", locus)
-    return Row(
-        coeffs=_parse_coeffs(doc["coeffs"], locus + ".coeffs"),
-        rhs=float(doc["rhs"]),
-        tag=str(doc.get("tag", "")),
-    )
-
-
-def _parse_expr(doc, locus):
-    if not isinstance(doc, dict) or "coeffs" not in doc:
-        raise IRParseError("expression needs 'coeffs'", locus)
-    const = doc.get("const", 0.0)
-    if not isinstance(const, (int, float)) or isinstance(const, bool):
-        raise IRParseError("const is not a number", locus)
-    return AffExpr(coeffs=_parse_coeffs(doc["coeffs"], locus + ".coeffs"), const=float(const))
-
-
-def parse_ir(text):
-    """Inverse of serialize_ir; malformed input raises with a field locus."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise IRParseError(f"not valid JSON: {exc}", locus="document") from exc
-    if not isinstance(doc, dict):
-        raise IRParseError("document is not an object", locus="document")
-    for section in ("variables", "equalities", "inequalities", "soc_cones", "binaries", "objective"):
-        if section not in doc:
-            raise IRParseError(f"missing section {section!r}", locus=section)
-    if not isinstance(doc["variables"], list):
-        raise IRParseError("variables must be a list", locus="variables")
-    cones = []
-    for i, cdoc in enumerate(doc["soc_cones"]):
-        locus = f"soc_cones[{i}]"
-        if not isinstance(cdoc, dict) or "head" not in cdoc or "tail" not in cdoc:
-            raise IRParseError("cone needs 'head' and 'tail'", locus)
-        cones.append(
-            Cone(
-                head=str(cdoc["head"]),
-                tail=tuple(
-                    _parse_expr(e, f"{locus}.tail[{j}]") for j, e in enumerate(cdoc["tail"])
-                ),
-            )
-        )
-    big_m = doc.get("big_m")
-    if big_m is not None:
-        if not isinstance(big_m, (int, float)) or isinstance(big_m, bool):
-            raise IRParseError("big_m is not a number", locus="big_m")
-        big_m = float(big_m)
-    ir = ConicProgramIR(
-        variables=tuple(str(v) for v in doc["variables"]),
-        equalities=tuple(
-            _parse_row(r, f"equalities[{i}]") for i, r in enumerate(doc["equalities"])
-        ),
-        inequalities=tuple(
-            _parse_row(r, f"inequalities[{i}]") for i, r in enumerate(doc["inequalities"])
-        ),
-        soc_cones=tuple(cones),
-        binaries=tuple(str(v) for v in doc["binaries"]),
-        objective=_parse_expr(doc["objective"], "objective"),
-        big_m=big_m,
-        loss_model=doc.get("loss_model") or {},
-    )
-    try:
-        return ir.validate()
-    except ValidationError as exc:
-        raise IRParseError(str(exc), locus="document") from exc

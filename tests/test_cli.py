@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, determinism, exit codes."""
 
+import collections
 import csv
 import json
 from pathlib import Path
@@ -47,6 +48,33 @@ def read_csv_columns(path):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     return rows
+
+
+def _nan_branch_resistance(cfg, tmp_path):
+    net = json.loads(cli._fixture_path("network_5bus.json").read_text())
+    net["branches"][0]["r_pu"] = float("nan")
+    path = tmp_path / "network.json"
+    path.write_text(json.dumps(net))
+    cfg["network"] = str(path)
+
+
+def _nan_profile_cell(cfg, tmp_path):
+    from mopsched import profiles as PR
+
+    prof = PR.synthetic_profiles(days=1, steps_per_day=8, seed=4)
+    prof["commercial"][3] = float("nan")
+    path = tmp_path / "profiles.csv"
+    PR.write_profiles_csv(path, prof)
+    cfg["profiles"] = str(path)
+
+
+NON_FINITE_INPUTS = {
+    "network_r_pu": _nan_branch_resistance,
+    "profiles_cell": _nan_profile_cell,
+    "loss_coeff": lambda cfg, _: cfg["converter"].update(loss_coeff=float("nan")),
+    "load_peak_kw": lambda cfg, _: cfg["loads"][0].update(peak_kw=float("nan")),
+    "timestep_hours": lambda cfg, _: cfg.update(timestep_hours=float("nan")),
+}
 
 
 class TestRun:
@@ -125,6 +153,40 @@ class TestRun:
         result = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
         assert result.exit_code == 2
         assert not Path(cfg["output_dir"]).exists()
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_INPUTS))
+    def test_non_finite_input_exits_2(self, small_config, tmp_path, case):
+        path, cfg = small_config
+        NON_FINITE_INPUTS[case](cfg, tmp_path)
+        path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output
+        assert not Path(cfg["output_dir"]).exists()
+
+    def test_summary_reports_every_status(self, small_config, monkeypatch):
+        path, cfg = small_config
+        solve = cli._mip.solve_misocp
+        calls = []
+
+        def third_call_fails(ir, *args, **kwargs):
+            calls.append(ir)
+            if len(calls) == 3:
+                raise cli.MopschedError("forced failure")
+            return solve(ir, *args, **kwargs)
+
+        monkeypatch.setattr(cli._mip, "solve_misocp", third_call_fails)
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+        out = Path(cfg["output_dir"])
+        summary = json.loads((out / "summary.json").read_text())
+        for label, run in zip(("n1", "unconstrained"), summary["runs"]):
+            statuses = [r["status"] for r in read_csv_columns(out / f"mission_{label}.csv")]
+            assert run["status_counts"] == dict(collections.Counter(statuses))
+            assert run["infeasible_timesteps"] == statuses.count("infeasible")
+        assert summary["runs"][0]["status_counts"]["error"] == 1
+        assert summary["runs"][0]["errors"] == {"2": "forced failure"}
+        assert summary["runs"][1]["errors"] == {}
 
     def test_dump_ir_and_traces(self, small_config, tmp_path):
         path, cfg = small_config
@@ -296,3 +358,13 @@ class TestEc:
     def test_missing_input_exits_2(self):
         r = CliRunner().invoke(cli.main, ["ec", "--input", "nope.csv", "--s-total", "400"])
         assert r.exit_code == 2
+
+    @pytest.mark.parametrize("s_total, row", [("nan", "1.0,0.0"), ("400", "nan,0.0")])
+    def test_non_finite_exits_2(self, tmp_path, s_total, row):
+        mission_csv = tmp_path / "mission.csv"
+        mission_csv.write_text(f"t,S_c_1,S_c_2\n0,{row}\n")
+        r = CliRunner().invoke(
+            cli.main, ["ec", "--input", str(mission_csv), "--s-total", s_total]
+        )
+        assert r.exit_code == 2, r.output
+        assert "finite" in r.output

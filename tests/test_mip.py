@@ -1,5 +1,7 @@
 """Branch-and-bound behavior against the exhaustive support oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,11 @@ class TestSolveMisocp:
         ms = M.solve_misocp(ir)
         assert ms.status == "infeasible"
         assert ms.incumbent is None
+
+    def test_binaries_without_cardinality_record_rejected(self, grid5):
+        ir = replace(instance5(grid5, cardinality=1), cardinality={})
+        with pytest.raises(ValidationError, match="cardinality record"):
+            M.solve_misocp(ir)
 
     def test_delegates_when_no_binaries(self, grid5):
         ir = instance5(grid5)

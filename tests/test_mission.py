@@ -32,6 +32,13 @@ class TestElectricalCardinality:
         with pytest.raises(ValidationError):
             MS.electrical_cardinality([1.0], 0.0)
 
+    @pytest.mark.parametrize(
+        "row, eps", [([1.0], np.nan), ([1.0], np.inf), ([np.nan, 1.0], 0.1), ([np.inf], 0.1)]
+    )
+    def test_non_finite_rejected(self, row, eps):
+        with pytest.raises(ValidationError, match="finite"):
+            MS.electrical_cardinality(row, eps)
+
     @given(
         row=st.lists(st.floats(0, 1e4), min_size=1, max_size=6),
         eps=st.floats(1e-6, 10.0),

@@ -126,13 +126,46 @@ def _load_profiles(cfg):
     return _profiles.read_profiles_csv(str(path))
 
 
+def _entry_fields(entry, what, keys):
+    """``entry[key]`` for each of ``keys``; a ValidationError naming ``what`` and any missing key."""
+    if not isinstance(entry, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {entry!r}")
+    missing = [key for key in keys if key not in entry]
+    if missing:
+        raise ValidationError(f"{what} has no {', '.join(map(repr, missing))}: {entry!r}")
+    return [entry[key] for key in keys]
+
+
+def _peak(value, what):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} is not a number: {value!r}") from None
+
+
 def _build_setup(cfg):
     """(network, grid, converter, horizon factory) from a validated config."""
     net = _load_network(cfg)
     prof = _load_profiles(cfg)
-    for entry in cfg.loads:
-        if entry["bus"] not in [b.id for b in net.buses]:
-            raise ValidationError(f"load references unknown bus {entry['bus']!r}")
+    loads = []
+    for i, entry in enumerate(cfg.loads):
+        what = f"load entry {i}"
+        bus, profile, peak_kw = _entry_fields(entry, what, ("bus", "profile", "peak_kw"))
+        loads.append(
+            _mission.LoadSpec(
+                bus=bus,
+                profile=profile,
+                peak_kw=_peak(peak_kw, f"{what} peak_kw"),
+                peak_kvar=_peak(entry.get("peak_kvar", 0.0), f"{what} peak_kvar"),
+            )
+        )
+    der = None
+    if cfg.dc_der is not None:
+        profile, peak_kw = _entry_fields(cfg.dc_der, "converter dc_der", ("profile", "peak_kw"))
+        der = _mission.DerSpec(profile=profile, peak_kw=_peak(peak_kw, "converter dc_der peak_kw"))
+    for load in loads:
+        if load.bus not in [b.id for b in net.buses]:
+            raise ValidationError(f"load references unknown bus {load.bus!r}")
     for bid in cfg.pcc_buses:
         if bid not in [b.id for b in net.buses]:
             raise ValidationError(f"PCC bus {bid!r} not in network")
@@ -154,20 +187,6 @@ def _build_setup(cfg):
         k=cfg.loss_coeff,
         has_dc_der=cfg.dc_der is not None,
     )
-    loads = tuple(
-        _mission.LoadSpec(
-            bus=e["bus"],
-            profile=e["profile"],
-            peak_kw=float(e["peak_kw"]),
-            peak_kvar=float(e.get("peak_kvar", 0.0)),
-        )
-        for e in cfg.loads
-    )
-    der = (
-        _mission.DerSpec(profile=cfg.dc_der["profile"], peak_kw=float(cfg.dc_der["peak_kw"]))
-        if cfg.dc_der
-        else None
-    )
 
     def horizon(n):
         return _mission.HorizonInput(
@@ -186,13 +205,8 @@ def _build_setup(cfg):
 
 
 def _bnb_config(cfg):
-    kwargs = {}
-    if "rel_gap" in cfg.mip:
-        kwargs["rel_gap"] = float(cfg.mip["rel_gap"])
-    if "abs_gap" in cfg.mip:
-        kwargs["abs_gap"] = float(cfg.mip["abs_gap"])
-    if "node_limit" in cfg.mip:
-        kwargs["node_limit"] = int(cfg.mip["node_limit"])
+    """BnBConfig from the config's ``mip`` settings; BnBConfig checks their types and ranges."""
+    kwargs = {key: cfg.mip[key] for key in ("rel_gap", "abs_gap", "node_limit") if key in cfg.mip}
     return _mip.BnBConfig(**kwargs)
 
 
@@ -272,10 +286,10 @@ def run(cfg, dump_ir=False, solver_trace=None, mip_trace=None):
     if not cfg.cardinality:
         click.echo("warning: empty cardinality list, nothing to do")
         return []
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     bnb = _bnb_config(cfg)
     settings = _solver_settings(cfg)
+    outdir = Path(cfg.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     if solver_trace or mip_trace or dump_ir:
         # representative timestep-0 artifacts

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import MopschedError, ValidationError
+from .errors import MopschedError, ValidationError, count_setting, real_setting
 from .program import EC_EPS_FRACTION, ConicProgramIR, Row
 from . import solver as _solver
 
@@ -30,8 +30,9 @@ class BnBConfig:
     node_limit: int = 10000
 
     def __post_init__(self):
-        if not (self.rel_gap > 0 and self.abs_gap > 0):
-            raise ValidationError("gap tolerances must be positive")
+        for name in ("rel_gap", "abs_gap"):
+            object.__setattr__(self, name, real_setting(f"mip {name}", getattr(self, name)))
+        object.__setattr__(self, "node_limit", count_setting("mip node_limit", self.node_limit, 1))
 
 
 @dataclass

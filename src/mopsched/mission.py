@@ -14,6 +14,7 @@ naturally against capacity in kVA.
 from __future__ import annotations
 
 import csv
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -219,15 +220,83 @@ def _solve_timestep(grid, conv, horizon, cfg, settings, t):
     )
 
 
-def schedule_horizon(grid, conv, horizon, cfg=None, settings=None):
-    """Solve every timestep in order and assemble the mission profile.
+# (grid, conv, horizon, cfg, settings) of the horizon a forked worker serves;
+# set by _adopt_task in the worker, never in the calling process
+_worker_task = None
 
-    Infeasible timesteps are recorded with zero transfers and the run
-    continues.
+
+def _adopt_task(task):
+    global _worker_task
+    _worker_task = task
+
+
+def _solve_share(task, k, shares):
+    """Results of the timesteps t = k, k + shares, k + 2*shares, ... of ``task``."""
+    grid, conv, horizon, cfg, settings = task
+    return [
+        _solve_timestep(grid, conv, horizon, cfg, settings, t)
+        for t in range(k, horizon.tau, shares)
+    ]
+
+
+def _worker_share(k, shares):
+    return _solve_share(_worker_task, k, shares)
+
+
+def _thread_count():
+    """Threads of this process, 0 where the platform does not list them."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 0
+
+
+def _share_count(tau):
+    """Shares of a horizon: one per CPU this process may run on, at most ``tau``.
+
+    One share where forking is unavailable or unsafe: where the platform
+    lacks ``os.sched_getaffinity`` or a thread listing (both mean Linux,
+    which has ``fork``), or when the process runs more than one thread.  A
+    multi-threaded BLAS is such a case; forked copies of its thread pool
+    would oversubscribe the CPUs.
+    """
+    if not hasattr(os, "sched_getaffinity") or _thread_count() != 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), tau)
+
+
+def schedule_horizon(grid, conv, horizon, cfg=None, settings=None):
+    """Solve every timestep and assemble the mission profile.
+
+    The timesteps are split into interleaved shares (see ``_share_count``):
+    the calling process solves share 0 and forked workers solve the others,
+    each with the same code and data as a sequential run, so the result does
+    not depend on the CPU count.  Infeasible and failed timesteps are
+    recorded with zero transfers and the run continues.
     """
     tau = horizon.tau
-    cfg = cfg or _mip.BnBConfig()
-    results = [_solve_timestep(grid, conv, horizon, cfg, settings, t) for t in range(tau)]
+    task = (grid, conv, horizon, cfg or _mip.BnBConfig(), settings)
+    shares = _share_count(tau)
+    if shares == 1:
+        results = _solve_share(task, 0, 1)
+    else:
+        # Fork, not spawn: workers inherit the task and the imported program
+        # without pickling or re-importing either.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        results = [None] * tau
+        with ProcessPoolExecutor(
+            shares - 1,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_adopt_task,
+            initargs=(task,),
+        ) as pool:
+            futures = {k: pool.submit(_worker_share, k, shares) for k in range(1, shares)}
+            # the caller works its own share rather than wait on the workers
+            results[0::shares] = _solve_share(task, 0, shares)
+            for k, future in futures.items():
+                results[k::shares] = future.result()
 
     p_mp = np.vstack([r["p"] for r in results])
     q_mp = np.vstack([r["q"] for r in results])

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import ValidationError
+from .errors import ValidationError, count_setting, real_setting
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -45,6 +45,14 @@ class SolverSettings:
     # status=optimal is certified against these (looser) thresholds on the
     # original, unscaled data.
     final_tol: float = 1e-8
+
+    def __post_init__(self):
+        for name in ("feastol", "abstol", "reltol", "infeastol", "reg", "final_tol"):
+            object.__setattr__(self, name, real_setting(f"solver {name}", getattr(self, name)))
+        object.__setattr__(self, "gamma", real_setting("solver gamma", self.gamma, high=1.0))
+        object.__setattr__(self, "max_iter", count_setting("solver max_iter", self.max_iter, 1))
+        for name in ("refine", "ruiz_iter"):
+            object.__setattr__(self, name, count_setting(f"solver {name}", getattr(self, name), 0))
 
 
 @dataclass

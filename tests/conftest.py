@@ -106,3 +106,28 @@ def random_pcc_injection(rng, m, s_total):
     x = rng.standard_normal(2 * m)
     legs = np.hypot(x[:m], x[m:])
     return s_total * rng.uniform(0.2, 1.0) * x / legs.sum()
+
+
+def fail_solve_when(monkeypatch, when, exc):
+    """Make ``solve_misocp`` raise ``exc`` for the timesteps where ``when(t, ir)`` holds.
+
+    The timestep is read where the horizon builds its input, so the rule holds
+    in whichever process solves that timestep.
+    """
+    from mopsched import mission
+
+    current = []
+    timestep_input = mission._timestep_input
+    solve = mission._mip.solve_misocp
+
+    def recording(grid, horizon, t, p_der):
+        current.append(t)
+        return timestep_input(grid, horizon, t, p_der)
+
+    def failing(ir, *args, **kwargs):
+        if when(current[-1], ir):
+            raise exc
+        return solve(ir, *args, **kwargs)
+
+    monkeypatch.setattr(mission, "_timestep_input", recording)
+    monkeypatch.setattr(mission._mip, "solve_misocp", failing)

@@ -11,6 +11,8 @@ from click.testing import CliRunner
 
 from mopsched import cli
 
+from conftest import fail_solve_when
+
 
 @pytest.fixture()
 def small_config(tmp_path):
@@ -74,6 +76,36 @@ NON_FINITE_INPUTS = {
     "loss_coeff": lambda cfg, _: cfg["converter"].update(loss_coeff=float("nan")),
     "load_peak_kw": lambda cfg, _: cfg["loads"][0].update(peak_kw=float("nan")),
     "timestep_hours": lambda cfg, _: cfg.update(timestep_hours=float("nan")),
+}
+
+# case -> (edit of the config document, text the error must contain)
+MALFORMED_ENTRIES = {
+    "load_without_peak_kw": (lambda cfg: cfg["loads"][1].pop("peak_kw"), "load entry 1 has no 'peak_kw'"),
+    "load_without_bus": (lambda cfg: cfg["loads"][0].pop("bus"), "load entry 0 has no 'bus'"),
+    "load_without_profile": (lambda cfg: cfg["loads"][2].pop("profile"), "load entry 2 has no 'profile'"),
+    "load_peak_not_number": (
+        lambda cfg: cfg["loads"][0].update(peak_kvar="x"),
+        "load entry 0 peak_kvar is not a number",
+    ),
+    "dc_der_without_profile": (
+        lambda cfg: cfg["converter"]["dc_der"].pop("profile"),
+        "converter dc_der has no 'profile'",
+    ),
+    "dc_der_without_peak_kw": (
+        lambda cfg: cfg["converter"]["dc_der"].pop("peak_kw"),
+        "converter dc_der has no 'peak_kw'",
+    ),
+}
+
+BAD_SETTINGS = {
+    "node_limit_not_number": ("mip", "node_limit", "x"),
+    "node_limit_fraction": ("mip", "node_limit", 2.5),
+    "rel_gap_infinite": ("mip", "rel_gap", float("inf")),
+    "abs_gap_zero": ("mip", "abs_gap", 0.0),
+    "max_iter_not_number": ("solver", "max_iter", "x"),
+    "feastol_negative": ("solver", "feastol", -1e-9),
+    "gamma_above_one": ("solver", "gamma", 1.5),
+    "refine_boolean": ("solver", "refine", True),
 }
 
 
@@ -164,18 +196,34 @@ class TestRun:
         assert "error:" in result.output
         assert not Path(cfg["output_dir"]).exists()
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ENTRIES))
+    def test_malformed_entry_exits_2(self, small_config, case):
+        path, cfg = small_config
+        edit, message = MALFORMED_ENTRIES[case]
+        edit(cfg)
+        path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not Path(cfg["output_dir"]).exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_SETTINGS))
+    def test_bad_setting_exits_2(self, small_config, case):
+        path, cfg = small_config
+        section, key, value = BAD_SETTINGS[case]
+        cfg.setdefault(section, {})[key] = value
+        path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert f"{section} {key} must be" in result.output
+        assert not Path(cfg["output_dir"]).exists()
+
     def test_summary_reports_every_status(self, small_config, monkeypatch):
         path, cfg = small_config
-        solve = cli._mip.solve_misocp
-        calls = []
-
-        def third_call_fails(ir, *args, **kwargs):
-            calls.append(ir)
-            if len(calls) == 3:
-                raise cli.MopschedError("forced failure")
-            return solve(ir, *args, **kwargs)
-
-        monkeypatch.setattr(cli._mip, "solve_misocp", third_call_fails)
+        # timestep 2 of the n=1 level, the first level run
+        fail_solve_when(
+            monkeypatch, lambda t, ir: t == 2 and ir.binaries, cli.MopschedError("forced failure")
+        )
         result = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
         assert result.exit_code == 0, result.output
         out = Path(cfg["output_dir"])

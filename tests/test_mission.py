@@ -1,15 +1,19 @@
 """Mission-profile metrics, horizon scheduling, summaries, CSV IO."""
 
+import dataclasses
+import multiprocessing
+from concurrent.futures.process import _RemoteTraceback
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from mopsched import mission as MS
 from mopsched import profiles as PR
-from mopsched.errors import ValidationError
+from mopsched.errors import MopschedError, ValidationError
 from mopsched.program import UNCONSTRAINED, ConverterSpec
 
-from conftest import PCC5
+from conftest import PCC5, fail_solve_when
 
 
 class TestElectricalCardinality:
@@ -122,6 +126,76 @@ class TestScheduleHorizon:
         mp = MS.schedule_horizon(grid5, conv5, hz)
         assert all(s in ("optimal", "gap_reached") for s in mp.status)
         assert MS.mec(mp) == 1
+
+
+def _with_cpus(monkeypatch, count, threads=1):
+    monkeypatch.setattr(MS.os, "sched_getaffinity", lambda pid: set(range(count)))
+    # a multi-threaded BLAS would otherwise keep the run in one process
+    monkeypatch.setattr(MS, "_thread_count", lambda: threads)
+
+
+def _profile_bits(mp):
+    """Every field of a mission profile, arrays as dtype, shape and bytes."""
+    out = {}
+    for f in dataclasses.fields(mp):
+        value = getattr(mp, f.name)
+        if isinstance(value, np.ndarray):
+            value = (value.dtype.str, value.shape, value.tobytes())
+        out[f.name] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "cpus, threads, tau, shares", [(3, 1, 7, 3), (3, 1, 2, 2), (1, 1, 7, 1), (3, 2, 7, 1)]
+)
+def test_share_count(monkeypatch, cpus, threads, tau, shares):
+    _with_cpus(monkeypatch, cpus, threads)
+    assert MS._share_count(tau) == shares
+
+
+# Python 3.12+ warns on forking a process that has threads.  These tests fork
+# even when the only other threads are OpenBLAS's, which shuts its pool down
+# around a fork.
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+class TestParallelShares:
+    """One CPU solves the horizon inline; three split it between the caller and two forked workers."""
+
+    @staticmethod
+    def schedule(grid5, cardinality):
+        conv = ConverterSpec(pcc_buses=tuple(PCC5), s_total=0.4, k=0.01, has_dc_der=True)
+        hz = small_horizon(tau=7, cardinality=cardinality, der=MS.DerSpec("sun", 120.0))
+        return MS.schedule_horizon(grid5, conv, hz)
+
+    def schedule_on(self, monkeypatch, cpus, grid5, cardinality):
+        with monkeypatch.context() as m:
+            _with_cpus(m, cpus)
+            return self.schedule(grid5, cardinality)
+
+    @pytest.mark.parametrize("cardinality", [1, UNCONSTRAINED])
+    def test_bitwise_equal_across_cpu_counts(self, monkeypatch, grid5, cardinality):
+        one = self.schedule_on(monkeypatch, 1, grid5, cardinality)
+        three = self.schedule_on(monkeypatch, 3, grid5, cardinality)
+        assert one.status.count("optimal") >= 5
+        assert _profile_bits(three) == _profile_bits(one)
+
+    def test_error_row_from_a_worker(self, monkeypatch, grid5):
+        # with three shares, t=4 belongs to the worker solving share 1
+        fail_solve_when(monkeypatch, lambda t, ir: t == 4, MopschedError("forced failure"))
+        one = self.schedule_on(monkeypatch, 1, grid5, 1)
+        three = self.schedule_on(monkeypatch, 3, grid5, 1)
+        assert one.status[4] == "error"
+        assert one.extra == {"errors": {4: "forced failure"}}
+        assert _profile_bits(three) == _profile_bits(one)
+
+    @pytest.mark.parametrize("t_fail, remote", [(0, False), (1, True)])
+    def test_other_exceptions_propagate(self, monkeypatch, grid5, t_fail, remote):
+        fail_solve_when(monkeypatch, lambda t, ir: t == t_fail, RuntimeError(f"boom at {t_fail}"))
+        _with_cpus(monkeypatch, 3)
+        with pytest.raises(RuntimeError, match=f"boom at {t_fail}") as info:
+            self.schedule(grid5, 1)
+        # t=0 is the caller's own share, t=1 a worker's
+        assert isinstance(info.value.__cause__, _RemoteTraceback) is remote
+        assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="module")

@@ -399,7 +399,8 @@ def _oracle_checks(cfg, lg, conv, horizon, rng):
             detail = f"t={t} n={n}: both infeasible" if ok else f"t={t} n={n}: status mismatch"
         else:
             diff = abs(ms.objective - oc.objective)
-            tol = max(1e-8, 1e-4 * abs(oc.objective))
+            # B&B stops within its configured gap of the optimum
+            tol = max(bnb.abs_gap, bnb.rel_gap * abs(oc.objective))
             ok = diff <= tol
             worst = max(worst, diff)
             detail = f"t={t} n={n}: |mip - enum| = {diff:.2e}"

@@ -8,7 +8,12 @@ where K is a product of a nonnegative orthant and second-order cones, via a
 homogeneous self-dual embedding with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector.  Infeasibility and unboundedness are certified from the
 embedding.  All linear algebra is dense: the timestep programs have tens of
-variables, so factorization cost is irrelevant and simplicity wins.
+variables (a KKT matrix of 9 to 136 rows).  At that size the per-call cost of
+Python wrappers outweighs the arithmetic, so each solve lays out its cones and
+fills the constant blocks of its KKT matrix once; an iteration writes only
+the -W^2 block and calls LAPACK getrf/getrs directly.  Every floating-point
+operation is the one scipy.linalg.lu_factor/lu_solve would run, so results
+are bit-for-bit those of the wrapper calls.
 
 Pipeline for a program IR:  fix binaries -> substitution presolve -> Ruiz
 equilibration -> interior-point solve -> unscale -> reassemble full-variable
@@ -18,10 +23,12 @@ solution and per-row duals.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import ValidationError, count_setting, real_setting
 
@@ -83,57 +90,66 @@ def _soc_slices(dims):
     return out
 
 
-def _cone_e(dims):
-    l, qs = dims
-    e = np.zeros(l + sum(qs))
-    e[:l] = 1.0
-    for sl in _soc_slices(dims):
-        e[sl.start] = 1.0
-    return e
+class _Cones:
+    """Layout of the cone K, worked out once per solve.
+
+    ``socs`` holds (head index, tail slice, block slice) for each second-order
+    cone and ``eyes`` the identity matrix of each tail length.
+    """
+
+    def __init__(self, dims):
+        l, qs = dims
+        self.l = l
+        self.size = l + sum(qs)
+        self.degree = l + len(qs)
+        self.lin = np.arange(l)
+        self.socs = [
+            (blk.start, slice(blk.start + 1, blk.stop), blk) for blk in _soc_slices(dims)
+        ]
+        self.eyes = {d - 1: np.eye(d - 1) for d in qs}
+        self.e = np.zeros(self.size)
+        self.e[:l] = 1.0
+        for i, _, _ in self.socs:
+            self.e[i] = 1.0
 
 
-def _degree(dims):
-    l, qs = dims
-    return l + len(qs)
-
-
-def _jordan_prod(u, v, dims):
-    l, _ = dims
+def _jordan_prod(u, v, cones):
+    l = cones.l
     out = np.empty_like(u)
     out[:l] = u[:l] * v[:l]
-    for sl in _soc_slices(dims):
-        u0, u1 = u[sl.start], u[sl.start + 1 : sl.stop]
-        v0, v1 = v[sl.start], v[sl.start + 1 : sl.stop]
-        out[sl.start] = u0 * v0 + u1 @ v1
-        out[sl.start + 1 : sl.stop] = u0 * v1 + v0 * u1
+    for i, tail, _ in cones.socs:
+        u0, u1 = u[i], u[tail]
+        v0, v1 = v[i], v[tail]
+        out[i] = u0 * v0 + u1 @ v1
+        out[tail] = u0 * v1 + v0 * u1
     return out
 
 
-def _jordan_div(lam, d, dims):
+def _jordan_div(lam, d, cones):
     """Solve lam o u = d for u."""
-    l, _ = dims
+    l = cones.l
     out = np.empty_like(d)
     out[:l] = d[:l] / lam[:l]
-    for sl in _soc_slices(dims):
-        l0, l1 = lam[sl.start], lam[sl.start + 1 : sl.stop]
-        d0, d1 = d[sl.start], d[sl.start + 1 : sl.stop]
+    for i, tail, _ in cones.socs:
+        l0, l1 = lam[i], lam[tail]
+        d0, d1 = d[i], d[tail]
         det = l0 * l0 - l1 @ l1
         u0 = (l0 * d0 - l1 @ d1) / det
-        out[sl.start] = u0
-        out[sl.start + 1 : sl.stop] = (d1 - u0 * l1) / l0
+        out[i] = u0
+        out[tail] = (d1 - u0 * l1) / l0
     return out
 
 
-def _max_step(u, du, dims):
+def _max_step(u, du, cones):
     """sup { alpha >= 0 : u + alpha du in K } for u interior to K."""
-    l, _ = dims
+    ul, dl = u[: cones.l], du[: cones.l]
     alpha = np.inf
-    neg = du[:l] < 0
+    neg = dl < 0
     if neg.any():
-        alpha = float(np.min(-u[:l][neg] / du[:l][neg]))
-    for sl in _soc_slices(dims):
-        u0, u1 = u[sl.start], u[sl.start + 1 : sl.stop]
-        d0, d1 = du[sl.start], du[sl.start + 1 : sl.stop]
+        alpha = float((-ul[neg] / dl[neg]).min())
+    for i, tail, _ in cones.socs:
+        u0, u1 = u[i], u[tail]
+        d0, d1 = du[i], du[tail]
         a = d0 * d0 - d1 @ d1
         bq = u0 * d0 - u1 @ d1
         cq = u0 * u0 - u1 @ u1
@@ -145,7 +161,11 @@ def _max_step(u, du, dims):
             disc = bq * bq - a * cq
             if disc >= 0.0:
                 sq = math.sqrt(disc)
-                roots.extend(r for r in ((-bq + sq) / a, (-bq - sq) / a) if r > 0)
+                r1, r2 = (-bq + sq) / a, (-bq - sq) / a
+                if r1 > 0:
+                    roots.append(r1)
+                if r2 > 0:
+                    roots.append(r2)
         if d0 < 0:
             roots.append(-u0 / d0)
         if roots:
@@ -153,29 +173,26 @@ def _max_step(u, du, dims):
     return alpha
 
 
-def _interior_violation(u, dims):
+def _interior_violation(u, cones):
     """max over blocks of distance past the cone boundary (<0 means interior)."""
-    l, qs = dims
+    l = cones.l
     worst = -np.inf
     if l:
         worst = float(np.max(-u[:l]))
-    for sl in _soc_slices(dims):
-        u0, u1 = u[sl.start], u[sl.start + 1 : sl.stop]
-        worst = max(worst, float(np.linalg.norm(u1) - u0))
+    for i, tail, _ in cones.socs:
+        worst = max(worst, float(np.linalg.norm(u[tail]) - u[i]))
     return worst
 
 
-def _nt_scaling(s, z, dims):
+def _nt_scaling(s, z, cones):
     """Dense NT scaling W (symmetric PD) with W z = W^-1 s = lam."""
-    l, qs = dims
-    q_all = l + sum(qs)
-    W = np.zeros((q_all, q_all))
-    lam = np.zeros(q_all)
-    w_lin = np.sqrt(s[:l] / z[:l])
-    W[np.arange(l), np.arange(l)] = w_lin
+    l = cones.l
+    W = np.zeros((cones.size, cones.size))
+    lam = np.zeros(cones.size)
+    W[cones.lin, cones.lin] = np.sqrt(s[:l] / z[:l])
     lam[:l] = np.sqrt(s[:l] * z[:l])
-    for sl in _soc_slices(dims):
-        sb, zb = s[sl], z[sl]
+    for _, _, blk in cones.socs:
+        sb, zb = s[blk], z[blk]
         rs = math.sqrt(sb[0] ** 2 - sb[1:] @ sb[1:])
         rz = math.sqrt(zb[0] ** 2 - zb[1:] @ zb[1:])
         sn, zn = sb / rs, zb / rz
@@ -184,23 +201,39 @@ def _nt_scaling(s, z, dims):
         wb[0] += zn[0]
         wb[1:] -= zn[1:]
         wb /= 2.0 * gamma
-        d = sl.stop - sl.start
+        d = blk.stop - blk.start
         Wb = np.empty((d, d))
         Wb[0, 0] = wb[0]
         Wb[0, 1:] = wb[1:]
         Wb[1:, 0] = wb[1:]
-        Wb[1:, 1:] = np.eye(d - 1) + np.outer(wb[1:], wb[1:]) / (1.0 + wb[0])
-        eta = math.sqrt(rs / rz)
-        W[sl, sl] = eta * Wb
-        lam[sl] = (eta * Wb) @ zb
+        Wb[1:, 1:] = cones.eyes[d - 1] + np.outer(wb[1:], wb[1:]) / (1.0 + wb[0])
+        Wb = math.sqrt(rs / rz) * Wb
+        W[blk, blk] = Wb
+        lam[blk] = Wb @ zb
     return W, lam
 
 
 # --- homogeneous self-dual interior-point core ------------------------------
+#
+# The KKT matrix is [[0, A', G'], [A, 0, 0], [G, 0, -W^2]].  The direct
+# getrf/getrs calls keep the guards of scipy's lu_factor/lu_solve: a
+# non-finite matrix or right-hand side raises ValueError with scipy's
+# message, and an exactly zero pivot warns LinAlgWarning.
+
+_NONFINITE = "array must not contain infs or NaNs"
 
 
-def _kkt_factor(A, G, W2, reg):
-    n = A.shape[1] if A.size else G.shape[1]
+def _kkt_matrix(A, G, reg):
+    """The KKT matrices of one solve with their -W^2 block still empty.
+
+    Returns (K, Kreg): K in C order, for the refinement residuals, and K plus
+    the static regularization (+reg on the x rows, -reg on the others) in
+    Fortran order, the layout getrf factors.  ``_kkt_factor`` fills the
+    -W^2 block of both.
+    """
+    if not (np.isfinite(A).all() and np.isfinite(G).all()):
+        raise ValueError(_NONFINITE)
+    n = A.shape[1]
     p, q = A.shape[0], G.shape[0]
     dim = n + p + q
     K = np.zeros((dim, dim))
@@ -209,18 +242,50 @@ def _kkt_factor(A, G, W2, reg):
         K[n : n + p, :n] = A
     K[:n, n + p :] = G.T
     K[n + p :, :n] = G
-    K[n + p :, n + p :] = -W2
-    Kreg = K.copy()
-    idx = np.arange(dim)
+    Kreg = np.array(K, order="F")
+    idx = np.arange(n + p)
     Kreg[idx[:n], idx[:n]] += reg
     Kreg[idx[n:], idx[n:]] -= reg
-    return scipy.linalg.lu_factor(Kreg), K
+    return K, Kreg
 
 
-def _kkt_solve(lu, K, rhs, refine):
-    x = scipy.linalg.lu_solve(lu, rhs)
+def _kkt_factor(K, Kreg, W2, reg):
+    """Write -W^2 into both KKT matrices and LU-factor Kreg; returns (lu, piv)."""
+    q = W2.shape[0]
+    dim = K.shape[0]
+    blk = slice(dim - q, dim)
+    np.negative(W2, out=K[blk, blk])
+    Kreg[blk, blk] = K[blk, blk]
+    idx = np.arange(dim - q, dim)
+    Kreg[idx, idx] -= reg
+    # the other blocks were checked by _kkt_matrix
+    if not np.isfinite(Kreg[blk, blk]).all():
+        raise ValueError(_NONFINITE)
+    lu, piv, info = scipy.linalg.lapack.dgetrf(Kreg)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal getrf")
+    if info > 0:
+        warnings.warn(
+            f"Diagonal number {info} is exactly zero. Singular matrix.",
+            scipy.linalg.LinAlgWarning,
+            stacklevel=2,
+        )
+    return lu, piv
+
+
+def _getrs(lu_piv, rhs, overwrite):
+    if not np.isfinite(rhs).all():
+        raise ValueError(_NONFINITE)
+    x, info = scipy.linalg.lapack.dgetrs(*lu_piv, rhs, overwrite_b=overwrite)
+    if info:
+        raise ValueError(f"illegal value in {-info}th argument of internal getrs")
+    return x
+
+
+def _kkt_solve(lu_piv, K, rhs, refine):
+    x = _getrs(lu_piv, rhs, False)
     for _ in range(refine):
-        x += scipy.linalg.lu_solve(lu, rhs - K @ x)
+        x += _getrs(lu_piv, rhs - K @ x, True)
     return x
 
 
@@ -239,8 +304,9 @@ def solve_conelp(c, A, b, G, h, dims, settings=None, trace_rows=None):
     n, p, q = len(c), len(b), len(h)
     if q == 0:
         raise ValidationError("program has no conic part")
-    deg = _degree(dims)
-    e = _cone_e(dims)
+    cones = _Cones(dims)
+    deg = cones.degree
+    e = cones.e
 
     normb = max(1.0, np.linalg.norm(b)) if p else 1.0
     normh = max(1.0, np.linalg.norm(h))
@@ -248,20 +314,22 @@ def solve_conelp(c, A, b, G, h, dims, settings=None, trace_rows=None):
 
     # Initial point: least-squares primal/dual solves at W = I, shifted into
     # the cone interior.
-    lu0, K0 = _kkt_factor(A, G, np.eye(q), st.reg)
-    sol_p = _kkt_solve(lu0, K0, np.concatenate([np.zeros(n), b, h]), st.refine)
+    K, Kreg = _kkt_matrix(A, G, st.reg)
+    lu = _kkt_factor(K, Kreg, np.eye(q), st.reg)
+    sol_p = _kkt_solve(lu, K, np.concatenate([np.zeros(n), b, h]), st.refine)
     x = sol_p[:n]
     s = -sol_p[n + p :]
-    viol = _interior_violation(s, dims)
+    viol = _interior_violation(s, cones)
     if viol > -1e-8:
         s = s + (1.0 + viol) * e
-    sol_d = _kkt_solve(lu0, K0, np.concatenate([-c, np.zeros(p), np.zeros(q)]), st.refine)
+    sol_d = _kkt_solve(lu, K, np.concatenate([-c, np.zeros(p), np.zeros(q)]), st.refine)
     y = sol_d[n : n + p]
     z = sol_d[n + p :]
-    viol = _interior_violation(z, dims)
+    viol = _interior_violation(z, cones)
     if viol > -1e-8:
         z = z + (1.0 + viol) * e
     tau, kappa = 1.0, 1.0
+    rhs1 = np.concatenate([-c, b, h])
 
     status = NUMERICAL_FAILURE
     metrics = {}
@@ -273,7 +341,8 @@ def solve_conelp(c, A, b, G, h, dims, settings=None, trace_rows=None):
         rx = A.T @ y + G.T @ z + c * tau
         ry = A @ x - b * tau
         rz = G @ x + s - h * tau
-        rtau = kappa + c @ x + b @ y + h @ z
+        cx, by, hz = c @ x, b @ y, h @ z
+        rtau = kappa + cx + by + hz
 
         xt = x / tau
         st_ = s / tau
@@ -305,7 +374,7 @@ def solve_conelp(c, A, b, G, h, dims, settings=None, trace_rows=None):
             status = OPTIMAL
             break
 
-        by_hz = b @ y + h @ z
+        by_hz = by + hz
         if by_hz < -1e-300:
             cert = np.linalg.norm(A.T @ y + G.T @ z) / (-by_hz)
             if cert <= st.infeastol:
@@ -317,7 +386,6 @@ def solve_conelp(c, A, b, G, h, dims, settings=None, trace_rows=None):
                     "cert_residual": float(cert),
                 }
                 break
-        cx = c @ x
         if cx < -1e-300:
             cert = max(
                 np.linalg.norm(A @ x) if p else 0.0, np.linalg.norm(G @ x + s)
@@ -333,16 +401,15 @@ def solve_conelp(c, A, b, G, h, dims, settings=None, trace_rows=None):
                 break
 
         mu = (s @ z + tau * kappa) / (deg + 1)
-        W, lam = _nt_scaling(s, z, dims)
+        W, lam = _nt_scaling(s, z, cones)
         W2 = W @ W
-        lu, K = _kkt_factor(A, G, W2, st.reg)
-        u1 = _kkt_solve(lu, K, np.concatenate([-c, b, h]), st.refine)
+        lu = _kkt_factor(K, Kreg, W2, st.reg)
+        u1 = _kkt_solve(lu, K, rhs1, st.refine)
         den = (c @ u1[:n] + b @ u1[n : n + p] + h @ u1[n + p :]) - kappa / tau
 
         def direction(ds_rhs, dtau_rhs, xi):
-            rhs = np.concatenate(
-                [-xi * rx, -xi * ry, -xi * rz - W @ _jordan_div(lam, ds_rhs, dims)]
-            )
+            quot = _jordan_div(lam, ds_rhs, cones)
+            rhs = np.concatenate([-xi * rx, -xi * ry, -xi * rz - W @ quot])
             u0 = _kkt_solve(lu, K, rhs, st.refine)
             num = -xi * rtau - dtau_rhs / tau - (
                 c @ u0[:n] + b @ u0[n : n + p] + h @ u0[n + p :]
@@ -350,17 +417,17 @@ def solve_conelp(c, A, b, G, h, dims, settings=None, trace_rows=None):
             dtau = num / den
             dxyz = u0 + dtau * u1
             dz = dxyz[n + p :]
-            ds = W @ (_jordan_div(lam, ds_rhs, dims) - W @ dz)
+            ds = W @ (quot - W @ dz)
             dkappa = (dtau_rhs - kappa * dtau) / tau
             return dxyz[:n], dxyz[n : n + p], dz, ds, dtau, dkappa
 
-        lam2 = _jordan_prod(lam, lam, dims)
+        lam2 = _jordan_prod(lam, lam, cones)
 
         # predictor
         dxa, dya, dza, dsa, dtaua, dkappaa = direction(-lam2, -tau * kappa, 1.0)
         alpha = min(
-            _max_step(s, dsa, dims),
-            _max_step(z, dza, dims),
+            _max_step(s, dsa, cones),
+            _max_step(z, dza, cones),
             (tau / -dtaua) if dtaua < 0 else np.inf,
             (kappa / -dkappaa) if dkappaa < 0 else np.inf,
             1.0,
@@ -372,13 +439,13 @@ def solve_conelp(c, A, b, G, h, dims, settings=None, trace_rows=None):
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
         # corrector
-        corr = _jordan_prod(np.linalg.solve(W, dsa), W @ dza, dims)
+        corr = _jordan_prod(np.linalg.solve(W, dsa), W @ dza, cones)
         ds_rhs = -lam2 - corr + sigma * mu * e
         dtau_rhs = -tau * kappa - dtaua * dkappaa + sigma * mu
         dx, dy, dz, ds, dtau, dkappa = direction(ds_rhs, dtau_rhs, 1.0 - sigma)
         amax = min(
-            _max_step(s, ds, dims),
-            _max_step(z, dz, dims),
+            _max_step(s, ds, cones),
+            _max_step(z, dz, cones),
             (tau / -dtau) if dtau < 0 else np.inf,
             (kappa / -dkappa) if dkappa < 0 else np.inf,
         )
@@ -424,7 +491,6 @@ def _ruiz_equilibrate(A, G, dims, iters):
     M = np.vstack([A, G]) if p else G.copy()
     r = np.ones(p + q)
     d = np.ones(n)
-    l, qs = dims
     for _ in range(iters):
         Ms = r[:, None] * M * d[None, :]
         rn = np.max(np.abs(Ms), axis=1)

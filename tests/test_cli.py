@@ -3,6 +3,7 @@
 import collections
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,41 @@ class TestVerify:
         assert "FAIL" not in report
         # checked programs are built as the run builds them, dc-link solar included
         assert any(p > 0.0 for p in p_der)
+
+    @pytest.mark.parametrize("mip", [{"rel_gap": 1e-2}, {"rel_gap": 1e-4, "abs_gap": 1e-5}])
+    @pytest.mark.parametrize("factor, passes", [(0.5, True), (2.0, False)])
+    def test_oracle_tolerance_is_the_configured_gap(
+        self, small_config, monkeypatch, mip, factor, passes
+    ):
+        """B&B may stop anywhere within its configured gap of the optimum."""
+        _, doc = small_config
+        cfg = cli.load_config(dict(doc, mip=mip))
+        bnb = cli._bnb_config(cfg)
+        limits = []
+        build = cli._timestep_program
+        solve = cli._mip.solve_misocp
+
+        def recording_build(lg, conv, hz, t):
+            limits.append(hz.cardinality_limit)
+            return build(lg, conv, hz, t)
+
+        def off_by_gap(ir, bnb_cfg, settings=None, **kwargs):
+            ms = solve(ir, bnb_cfg, settings, **kwargs)
+            oc = cli._oracle.enumerate_supports(ir, limits[-1], settings)
+            if "infeasible" in (ms.status, oc.status):
+                return ms
+            tol = max(bnb.abs_gap, bnb.rel_gap * abs(oc.objective))
+            return replace(ms, objective=oc.objective + factor * tol)
+
+        monkeypatch.setattr(cli, "_timestep_program", recording_build)
+        monkeypatch.setattr(cli._mip, "solve_misocp", off_by_gap)
+        _, checks = cli.verify(cfg)
+        compared = [
+            ok for name, ok, detail in checks
+            if name.startswith("oracle_equivalence") and "|mip - enum|" in detail
+        ]
+        assert compared
+        assert all(ok == passes for ok in compared)
 
     def test_corrupted_lambda_fails(self, tmp_path):
         runner = CliRunner()

@@ -3,21 +3,24 @@
 The engine is validated three ways: algebraic identities of the NT scaling
 and Jordan operations on random interior points, external behavior on tiny
 closed-form instances, and agreement with the dense grid-search oracle on
-the 5-bus fixture.
+the 5-bus fixture.  The direct LAPACK KKT path is checked bit for bit
+against scipy's lu_factor/lu_solve wrappers.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings as hsettings, strategies as st
 
+from mopsched import mip as M
 from mopsched import oracle as O
 from mopsched import solver as S
 from mopsched.errors import ValidationError
 from mopsched.program import AffExpr, Cone, ConicProgramIR, Row
 
-from conftest import instance5
+from conftest import instance5, instance33
 
 
 def make_min_norm_ir():
@@ -65,8 +68,8 @@ class TestConeAlgebra:
     def test_nt_scaling_identities(self, s_tail, z_tail):
         n = min(len(s_tail), len(z_tail))
         s, z = s_tail[:n], z_tail[:n]
-        dims = (0, [n])
-        W, lam = S._nt_scaling(s, z, dims)
+        cones = S._Cones((0, [n]))
+        W, lam = S._nt_scaling(s, z, cones)
         assert np.allclose(W, W.T, atol=1e-10)
         assert np.allclose(W @ z, lam, atol=1e-8 * max(1, np.abs(lam).max()))
         assert np.allclose(
@@ -78,28 +81,28 @@ class TestConeAlgebra:
     def test_jordan_div_inverts_prod(self, s_tail, d):
         lam = s_tail[:3]
         dv = np.array(d[:3])
-        dims = (0, [3])
-        u = S._jordan_div(lam, dv, dims)
-        assert np.allclose(S._jordan_prod(lam, u, dims), dv, atol=1e-8)
+        cones = S._Cones((0, [3]))
+        u = S._jordan_div(lam, dv, cones)
+        assert np.allclose(S._jordan_prod(lam, u, cones), dv, atol=1e-8)
 
     def test_orthant_ops(self):
-        dims = (3, [])
+        cones = S._Cones((3, []))
         s = np.array([1.0, 2.0, 4.0])
         z = np.array([4.0, 2.0, 1.0])
-        W, lam = S._nt_scaling(s, z, dims)
+        W, lam = S._nt_scaling(s, z, cones)
         assert np.allclose(np.diag(W), np.sqrt(s / z))
         assert np.allclose(lam, np.sqrt(s * z))
-        step = S._max_step(s, np.array([-1.0, -4.0, 1.0]), dims)
+        step = S._max_step(s, np.array([-1.0, -4.0, 1.0]), cones)
         assert step == pytest.approx(0.5)
 
     def test_max_step_hits_soc_boundary(self):
         rng = np.random.default_rng(0)
-        dims = (0, [4])
+        cones = S._Cones((0, [4]))
         for _ in range(50):
             tail = rng.standard_normal(3)
             u = np.concatenate([[np.linalg.norm(tail) + rng.uniform(0.1, 2)], tail])
             du = rng.standard_normal(4)
-            alpha = S._max_step(u, du, dims)
+            alpha = S._max_step(u, du, cones)
             if np.isfinite(alpha):
                 v = u + alpha * du
                 res = v[0] ** 2 - v[1:] @ v[1:]
@@ -286,3 +289,128 @@ class TestNoConicPart:
         # fully determined by presolve, no cone needed
         sol = S.solve_socp(ir)
         assert sol.status == S.OPTIMAL and sol.primal["x"] == 1.0
+
+
+def wrapper_kkt_solve(A, G, W2, reg, rhs, refine):
+    """The regularized KKT solve through scipy's lu_factor/lu_solve wrappers."""
+    n = A.shape[1]
+    p, q = A.shape[0], G.shape[0]
+    dim = n + p + q
+    K = np.zeros((dim, dim))
+    K[:n, n : n + p] = A.T
+    K[n : n + p, :n] = A
+    K[:n, n + p :] = G.T
+    K[n + p :, :n] = G
+    K[n + p :, n + p :] = -W2
+    Kreg = K.copy()
+    Kreg[np.arange(n), np.arange(n)] += reg
+    Kreg[np.arange(n, dim), np.arange(n, dim)] -= reg
+    lu = scipy.linalg.lu_factor(Kreg)
+    x = scipy.linalg.lu_solve(lu, rhs)
+    for _ in range(refine):
+        x += scipy.linalg.lu_solve(lu, rhs - K @ x)
+    return x
+
+
+def random_kkt_data(rng, n, p, q, count):
+    A = rng.standard_normal((p, n))
+    G = rng.standard_normal((q, n))
+    W2s = []
+    for _ in range(count):
+        B = rng.standard_normal((q, q))
+        W2s.append(B @ B.T + q * np.eye(q))
+    return A, G, W2s
+
+
+class TestKktLapack:
+    """getrf/getrs called directly give the scipy wrappers' bits and guards."""
+
+    def assert_bitwise_equal_to_wrappers(self, A, G, W2s, rhss, reg=1e-11):
+        # one KKT matrix pair serves every scaling in turn, as in a solve
+        K, Kreg = S._kkt_matrix(A, G, reg)
+        for W2 in W2s:
+            lu = S._kkt_factor(K, Kreg, W2, reg)
+            for rhs in rhss:
+                for refine in (0, 2):
+                    got = S._kkt_solve(lu, K, rhs, refine)
+                    want = wrapper_kkt_solve(A, G, W2, reg, rhs, refine)
+                    assert np.array_equal(got, want)
+
+    def test_ieee33_n2_root(self, grid33, conv33, bg33, monkeypatch):
+        ir = M._relaxed_program(instance33(grid33, conv33, bg33, cardinality=2), {})
+        seen = {"W2": []}
+        kkt_matrix, kkt_factor = S._kkt_matrix, S._kkt_factor
+
+        def recording_matrix(A, G, reg):
+            seen.update(A=A.copy(), G=G.copy())
+            return kkt_matrix(A, G, reg)
+
+        def recording_factor(K, Kreg, W2, reg):
+            seen["W2"].append(W2.copy())
+            return kkt_factor(K, Kreg, W2, reg)
+
+        monkeypatch.setattr(S, "_kkt_matrix", recording_matrix)
+        monkeypatch.setattr(S, "_kkt_factor", recording_factor)
+        assert S.solve_socp(ir, {}).status == S.OPTIMAL
+        monkeypatch.undo()
+        A, G = seen["A"], seen["G"]
+        assert A.shape[1] + A.shape[0] + G.shape[0] == 136
+        assert len(seen["W2"]) > 5
+        rng = np.random.default_rng(3)
+        rhss = [rng.standard_normal(136) for _ in range(2)]
+        self.assert_bitwise_equal_to_wrappers(A, G, seen["W2"], rhss)
+
+    @pytest.mark.parametrize("n, p, q", [(6, 0, 9), (7, 3, 12), (26, 10, 100)])
+    def test_random_well_conditioned(self, n, p, q):
+        rng = np.random.default_rng(n + p + q)
+        A, G, W2s = random_kkt_data(rng, n, p, q, 3)
+        rhss = [rng.standard_normal(n + p + q) for _ in range(3)]
+        self.assert_bitwise_equal_to_wrappers(A, G, W2s, rhss)
+
+    def test_nan_in_matrix_rejected(self):
+        rng = np.random.default_rng(1)
+        A, G, (W2,) = random_kkt_data(rng, 4, 2, 5, 1)
+        bad = G.copy()
+        bad[2, 1] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            S._kkt_matrix(A, bad, 1e-11)
+        K, Kreg = S._kkt_matrix(A, G, 1e-11)
+        W2[3, 3] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            S._kkt_factor(K, Kreg, W2, 1e-11)
+
+    def test_nan_in_rhs_rejected(self):
+        rng = np.random.default_rng(2)
+        A, G, (W2,) = random_kkt_data(rng, 4, 2, 5, 1)
+        K, Kreg = S._kkt_matrix(A, G, 1e-11)
+        lu = S._kkt_factor(K, Kreg, W2, 1e-11)
+        rhs = rng.standard_normal(11)
+        rhs[7] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            S._kkt_solve(lu, K, rhs, 2)
+
+    def test_singular_matrix_warns(self):
+        # x[1] appears in no row and reg = 0: its KKT row and column are zero
+        A = np.zeros((0, 2))
+        G = np.array([[1.0, 0.0], [2.0, 0.0]])
+        K, Kreg = S._kkt_matrix(A, G, 0.0)
+        with pytest.warns(scipy.linalg.LinAlgWarning, match="exactly zero"):
+            S._kkt_factor(K, Kreg, np.eye(2), 0.0)
+
+
+class TestSolvesShareNoState:
+    def test_back_to_back_solves_match_single_solves(self, grid5, grid33, conv33, bg33):
+        """A per-solve buffer shared by mistake shows as a changed bit."""
+        programs = [
+            instance5(grid5, p_der=0.12),
+            M._relaxed_program(instance33(grid33, conv33, bg33, cardinality=2), {}),
+        ]
+        single = [S.solve_socp(ir) for ir in programs]
+        forward = [S.solve_socp(ir) for ir in programs]
+        backward = [S.solve_socp(ir) for ir in reversed(programs)][::-1]
+        for ir, one, *again in zip(programs, single, forward, backward):
+            assert one.status == S.OPTIMAL
+            for sol in again:
+                assert sol.iterations == one.iterations
+                for v in ir.variables:
+                    assert sol.primal[v] == one.primal[v]

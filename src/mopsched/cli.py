@@ -30,15 +30,28 @@ from . import oracle as _oracle
 from . import profiles as _profiles
 from . import solver as _solver
 from . import svgplot
-from .errors import MopschedError, ValidationError
+from .errors import MopschedError, ValidationError, count_setting
 from .program import UNCONSTRAINED, ConverterSpec, build_timestep_program, serialize_ir
 
 _FIXTURE_NETWORKS = {"ieee33": "network_ieee33.json", "5bus": "network_5bus.json"}
 _FIXTURE_CONFIGS = {"ieee33": "config_ieee33.json", "5bus": "config_5bus.json"}
+# no feeder comes near this many per-unit powers; far beyond it the loss quadratic overflows
+_MAX_PU = 1e6
 
 
 def _fixture_path(name):
     return resources.files("mopsched").joinpath("fixtures", name)
+
+
+def _read_json(name, fixtures, what):
+    """The JSON document at fixture ``name`` or at path ``name``; ``what`` names it in errors."""
+    path = _fixture_path(fixtures[name]) if name in fixtures else Path(name)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ValidationError(f"{what} {name} not found") from None
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, bad UTF-8 or JSON, too deep
+        raise ValidationError(f"{what} {name} is not readable JSON: {exc}") from None
 
 
 @dataclass
@@ -52,7 +65,7 @@ class RunConfig:
     v_min: float = 0.95
     v_max: float = 1.05
     monitored_buses: list = None
-    cardinality: list = field(default_factory=lambda: [UNCONSTRAINED])
+    cardinality: list = (UNCONSTRAINED,)  # a tuple default load_config can read; stored as a list
     profiles: str = "synthetic"
     days: int = 2
     steps_per_day: int = 48
@@ -62,68 +75,70 @@ class RunConfig:
     solver: dict = field(default_factory=dict)
     output_dir: str = "out"
 
+    def __post_init__(self):
+        """Checks what a config key or a flag may set to the wrong shape; ``replace`` re-runs it."""
+        for name in ("network", "profiles", "output_dir"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or "\0" in value:
+                raise ValidationError(f"{name} must be a path, got {value!r}")
+        if not isinstance(self.monitored_buses, (list, type(None))):
+            raise ValidationError(f"monitored_buses must be a list or null, got {self.monitored_buses!r}")
+        self.cardinality = list(self.cardinality)
+        self.days = count_setting("synthetic days", self.days, 1)
+        self.steps_per_day = count_setting("synthetic steps_per_day", self.steps_per_day, 1)
+        self.seed = count_setting("seed", self.seed, 0)
+
+
+def _section(doc, key):
+    """``doc[key]``, which must be a JSON object; ``{}`` when absent."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ValidationError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
 
 def load_config(source):
     """RunConfig from a JSON path, fixture name, or parsed document.
 
     Keys the config does not know are ignored.
     """
-    if isinstance(source, str):
-        if source in _FIXTURE_CONFIGS:
-            doc = json.loads(_fixture_path(_FIXTURE_CONFIGS[source]).read_text())
-        else:
-            path = Path(source)
-            if not path.exists():
-                raise ValidationError(f"config file {source} not found")
-            doc = json.loads(path.read_text())
-    else:
-        doc = dict(source)
+    doc = _read_json(source, _FIXTURE_CONFIGS, "config file") if isinstance(source, str) else dict(source)
     try:
         conv = doc["converter"]
-        voltage = doc.get("voltage", {})
-        synth = doc.get("synthetic", {})
-        cfg = RunConfig(
+        voltage = _section(doc, "voltage")
+        synth = _section(doc, "synthetic")
+        return RunConfig(
             network=doc["network"],
             pcc_buses=[str(b) for b in conv["pcc_buses"]],
             s_total_kva=float(conv["s_total_kva"]),
-            loss_coeff=float(conv.get("loss_coeff", 0.01)),
+            loss_coeff=float(conv.get("loss_coeff", RunConfig.loss_coeff)),
             dc_der=conv.get("dc_der"),
-            loads=[dict(entry) for entry in doc.get("loads", [])],
-            v_min=float(voltage.get("v_min_pu", 0.95)),
-            v_max=float(voltage.get("v_max_pu", 1.05)),
+            loads=list(doc.get("loads", [])),
+            v_min=float(voltage.get("v_min_pu", RunConfig.v_min)),
+            v_max=float(voltage.get("v_max_pu", RunConfig.v_max)),
             monitored_buses=voltage.get("monitored_buses"),
-            cardinality=list(doc.get("cardinality", [UNCONSTRAINED])),
-            profiles=doc.get("profiles", "synthetic"),
-            days=int(synth.get("days", 2)),
-            steps_per_day=int(synth.get("steps_per_day", 48)),
-            seed=int(doc.get("seed", 7)),
-            timestep_hours=float(doc.get("timestep_hours", 0.5)),
-            mip=dict(doc.get("mip", {})),
-            solver=dict(doc.get("solver", {})),
-            output_dir=doc.get("output_dir", "out"),
+            cardinality=doc.get("cardinality", RunConfig.cardinality),
+            profiles=doc.get("profiles", RunConfig.profiles),
+            days=synth.get("days", RunConfig.days),
+            steps_per_day=synth.get("steps_per_day", RunConfig.steps_per_day),
+            seed=doc.get("seed", RunConfig.seed),
+            timestep_hours=float(doc.get("timestep_hours", RunConfig.timestep_hours)),
+            mip=dict(_section(doc, "mip")),
+            solver=dict(_section(doc, "solver")),
+            output_dir=doc.get("output_dir", RunConfig.output_dir),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed run config: {exc!r}") from exc
-    return cfg
 
 
 def _load_network(cfg):
-    name = cfg.network
-    if name in _FIXTURE_NETWORKS:
-        return _grid.network_from_json(json.loads(_fixture_path(_FIXTURE_NETWORKS[name]).read_text()))
-    path = Path(name)
-    if not path.exists():
-        raise ValidationError(f"network file {name} not found")
-    return _grid.network_from_json(str(path))
+    return _grid.network_from_json(_read_json(cfg.network, _FIXTURE_NETWORKS, "network file"))
 
 
 def _load_profiles(cfg):
     if cfg.profiles == "synthetic":
         return _profiles.synthetic_profiles(cfg.days, cfg.steps_per_day, cfg.seed)
-    path = Path(cfg.profiles)
-    if not path.exists():
-        raise ValidationError(f"profiles file {cfg.profiles} not found")
-    return _profiles.read_profiles_csv(str(path))
+    return _profiles.read_profiles_csv(cfg.profiles)
 
 
 def _entry_fields(entry, what, keys):
@@ -166,20 +181,13 @@ def _build_setup(cfg):
     for load in loads:
         if load.bus not in [b.id for b in net.buses]:
             raise ValidationError(f"load references unknown bus {load.bus!r}")
-    for bid in cfg.pcc_buses:
-        if bid not in [b.id for b in net.buses]:
-            raise ValidationError(f"PCC bus {bid!r} not in network")
     for bid in cfg.monitored_buses or []:
         if bid not in net.load_order:
             raise ValidationError(f"monitored bus {bid!r} is not a non-slack bus of the network")
     m = len(cfg.pcc_buses)
     for entry in cfg.cardinality:
-        if entry == UNCONSTRAINED:
-            continue
-        if not isinstance(entry, int) or isinstance(entry, bool) or not 0 <= entry <= m:
-            raise ValidationError(
-                f"cardinality entry {entry!r} not in [0, {m}] or 'unconstrained'"
-            )
+        if entry != UNCONSTRAINED and (type(entry) is not int or not 0 <= entry <= m):
+            raise ValidationError(f"cardinality entry {entry!r} not in [0, {m}] or 'unconstrained'")
     lg = _grid.linearize(net, cfg.pcc_buses)
     conv = ConverterSpec(
         pcc_buses=tuple(cfg.pcc_buses),
@@ -201,21 +209,29 @@ def _build_setup(cfg):
         )
 
     horizon(UNCONSTRAINED)  # rejects bad horizon data before any output is written
+    powers = [cfg.s_total_kva, abs(der.peak_kw) if der else 0.0]
+    powers += [abs(v) for load in loads for v in (load.peak_kw, load.peak_kvar)]
+    if max(powers) > _MAX_PU * net.s_base_kva:
+        raise ValidationError(
+            f"powers up to {max(powers):g} kVA exceed {_MAX_PU:g} pu of the network base {net.s_base_kva:g} kVA"
+        )
     return net, lg, conv, horizon
 
 
+def _settings(cls, section, values):
+    """``cls(**values)`` for a config settings section; ``cls`` checks the types and ranges."""
+    unknown = sorted(set(values) - set(cls.__dataclass_fields__))
+    if unknown:
+        raise ValidationError(f"unknown {section} settings {unknown}")
+    return cls(**values)
+
+
 def _bnb_config(cfg):
-    """BnBConfig from the config's ``mip`` settings; BnBConfig checks their types and ranges."""
-    kwargs = {key: cfg.mip[key] for key in ("rel_gap", "abs_gap", "node_limit") if key in cfg.mip}
-    return _mip.BnBConfig(**kwargs)
+    return _settings(_mip.BnBConfig, "mip", cfg.mip)
 
 
 def _solver_settings(cfg):
-    known = {f for f in _solver.SolverSettings.__dataclass_fields__}
-    extra = set(cfg.solver) - known
-    if extra:
-        raise ValidationError(f"unknown solver settings {sorted(extra)}")
-    return _solver.SolverSettings(**cfg.solver)
+    return _settings(_solver.SolverSettings, "solver", cfg.solver)
 
 
 def _timestep_program(lg, conv, hz, t):
@@ -385,8 +401,6 @@ def _oracle_checks(cfg, lg, conv, horizon, rng):
     bnb = _bnb_config(cfg)
     settings = _solver_settings(cfg)
     hz = horizon(UNCONSTRAINED)
-    worst = 0.0
-    n_checked = 0
     m = conv.m
     for trial in range(3):
         t = int(rng.integers(0, hz.tau))
@@ -402,9 +416,7 @@ def _oracle_checks(cfg, lg, conv, horizon, rng):
             # B&B stops within its configured gap of the optimum
             tol = max(bnb.abs_gap, bnb.rel_gap * abs(oc.objective))
             ok = diff <= tol
-            worst = max(worst, diff)
             detail = f"t={t} n={n}: |mip - enum| = {diff:.2e}"
-        n_checked += 1
         checks.append((f"oracle_equivalence_{trial}", ok, detail))
 
     ir = _timestep_program(lg, conv, hz, 0)
@@ -417,21 +429,22 @@ def _oracle_checks(cfg, lg, conv, horizon, rng):
     return checks
 
 
-def _linearization_compare(lg, lin_dir):
-    lin_dir = Path(lin_dir)
-    arrays = {
+def _model_arrays(lg):
+    """The files ``linearize`` writes and ``verify --linearization`` reads: name -> array."""
+    return {
         "K.csv": lg.K,
         "b.csv": lg.b,
         "Lambda.csv": lg.loss_quad.Lambda,
         "lambda.csv": lg.loss_quad.lam,
         "sigma.csv": np.array([lg.loss_quad.sigma]),
     }
+
+
+def _linearization_compare(lg, lin_dir):
+    lin_dir = Path(lin_dir)
     checks = []
-    for name, expect in arrays.items():
-        path = lin_dir / name
-        if not path.exists():
-            raise ValidationError(f"linearization dump {path} not found")
-        got = np.loadtxt(path, delimiter=",", ndmin=expect.ndim)
+    for name, expect in _model_arrays(lg).items():
+        got = np.loadtxt(lin_dir / name, delimiter=",", ndmin=expect.ndim)
         ok = got.shape == expect.shape and np.allclose(got, expect, atol=1e-9, rtol=0)
         detail = "matches rebuilt model" if ok else "differs from rebuilt model"
         checks.append((f"linearization_{name}", ok, detail))
@@ -458,56 +471,38 @@ def verify(cfg, lin_dir=None, report_path=None):
 # --- click wiring --------------------------------------------------------------
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports an input error of any subcommand as ``error: ...`` and exits 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # click exits 1 quietly on a closed stdout
+        except (MopschedError, OSError, UnicodeDecodeError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_Main)
 def main():
     """Cardinality-aware scheduling of multiport converter power transfers."""
 
 
-def _apply_overrides(cfg, network, profiles, cardinality, s_total, loss_coeff, vmin, vmax, out, seed, mip_rel_gap, mip_abs_gap, node_limit):
-    if network:
-        cfg.network = network
-    if profiles:
-        cfg.profiles = profiles
-    if cardinality:
-        entries = []
-        for tok in cardinality.split(","):
-            tok = tok.strip()
-            entries.append(UNCONSTRAINED if tok == UNCONSTRAINED else int(tok))
-        cfg.cardinality = entries
-    if s_total is not None:
-        cfg.s_total_kva = s_total
-    if loss_coeff is not None:
-        cfg.loss_coeff = loss_coeff
-    if vmin is not None:
-        cfg.v_min = vmin
-    if vmax is not None:
-        cfg.v_max = vmax
-    if out:
-        cfg.output_dir = out
-    if seed is not None:
-        cfg.seed = seed
-    if mip_rel_gap is not None:
-        cfg.mip["rel_gap"] = mip_rel_gap
-    if mip_abs_gap is not None:
-        cfg.mip["abs_gap"] = mip_abs_gap
-    if node_limit is not None:
-        cfg.mip["node_limit"] = node_limit
-    return cfg
-
-
+# the options' destinations are RunConfig fields, or BnBConfig fields for the mip flags
 _shared_options = [
     click.option("--config", "config_path", default=None, help="run config JSON (or fixture name: ieee33, 5bus)"),
     click.option("--network", default=None, help="network JSON path or fixture name"),
     click.option("--profiles", default=None, help="profiles CSV path or 'synthetic'"),
     click.option("--cardinality", default=None, help="comma list, e.g. 1,2,unconstrained"),
-    click.option("--s-total", type=float, default=None, help="total converter capacity, kVA"),
+    click.option("--s-total", "s_total_kva", type=float, default=None, help="total converter capacity, kVA"),
     click.option("--loss-coeff", type=float, default=None, help="converter loss coefficient"),
-    click.option("--vmin", type=float, default=None, help="lower voltage limit, pu"),
-    click.option("--vmax", type=float, default=None, help="upper voltage limit, pu"),
-    click.option("--out", default=None, help="output directory"),
+    click.option("--vmin", "v_min", type=float, default=None, help="lower voltage limit, pu"),
+    click.option("--vmax", "v_max", type=float, default=None, help="upper voltage limit, pu"),
+    click.option("--out", "output_dir", default=None, help="output directory"),
     click.option("--seed", type=int, default=None, help="seed for synthetic profiles"),
-    click.option("--mip-rel-gap", type=float, default=None),
-    click.option("--mip-abs-gap", type=float, default=None),
+    click.option("--mip-rel-gap", "rel_gap", type=float, default=None),
+    click.option("--mip-abs-gap", "abs_gap", type=float, default=None),
     click.option("--node-limit", type=int, default=None),
 ]
 
@@ -518,11 +513,23 @@ def _with_shared(fn):
     return fn
 
 
-def _config_from_cli(config_path, **overrides):
+def _config_from_cli(config_path, cardinality, rel_gap, abs_gap, node_limit, **fields):
+    """The config at ``config_path`` with the given flags applied; an empty string flag is ignored."""
     if config_path is None:
         raise ValidationError("--config is required (path or fixture name)")
     cfg = load_config(config_path)
-    return _apply_overrides(cfg, **overrides)
+    if cardinality:
+        tokens = [token.strip() for token in cardinality.split(",")]
+        try:
+            fields["cardinality"] = [tok if tok == UNCONSTRAINED else int(tok) for tok in tokens]
+        except ValueError as exc:
+            raise ValidationError(f"bad --cardinality {cardinality!r}: {exc}") from None
+    mip = {"rel_gap": rel_gap, "abs_gap": abs_gap, "node_limit": node_limit}
+    return replace(
+        cfg,
+        **{name: value for name, value in fields.items() if value not in (None, "")},
+        mip={**cfg.mip, **{key: value for key, value in mip.items() if value is not None}},
+    )
 
 
 @main.command("run")
@@ -530,14 +537,10 @@ def _config_from_cli(config_path, **overrides):
 @click.option("--dump-ir", is_flag=True, default=False, help="dump timestep-0 program IRs")
 @click.option("--solver-trace", default=None, help="write an interior-point trace CSV")
 @click.option("--mip-trace", default=None, help="write a branch-and-bound node log CSV")
-def run_cmd(config_path, dump_ir, solver_trace, mip_trace, **overrides):
+def run_cmd(config_path, dump_ir, solver_trace, mip_trace, **flags):
     """Schedule the horizon for each cardinality level and write reports."""
-    try:
-        cfg = _config_from_cli(config_path, **overrides)
-        artifacts = run(cfg, dump_ir=dump_ir, solver_trace=solver_trace, mip_trace=mip_trace)
-    except MopschedError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    cfg = _config_from_cli(config_path, **flags)
+    artifacts = run(cfg, dump_ir=dump_ir, solver_trace=solver_trace, mip_trace=mip_trace)
     for path in artifacts:
         click.echo(str(path))
     sys.exit(0)
@@ -546,16 +549,10 @@ def run_cmd(config_path, dump_ir, solver_trace, mip_trace, **overrides):
 @main.command("verify")
 @_with_shared
 @click.option("--linearization", "lin_dir", default=None, help="directory of linearize dumps to cross-check")
-def verify_cmd(config_path, lin_dir, **overrides):
+def verify_cmd(config_path, lin_dir, **flags):
     """Run oracle and finite-difference checks; exit 0 iff all pass."""
-    try:
-        cfg = _config_from_cli(config_path, **overrides)
-        outdir = Path(cfg.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        passed, checks = verify(cfg, lin_dir=lin_dir, report_path=outdir / "verify_report.csv")
-    except MopschedError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    cfg = _config_from_cli(config_path, **flags)
+    passed, checks = verify(cfg, lin_dir=lin_dir, report_path=Path(cfg.output_dir) / "verify_report.csv")
     for name, ok, detail in checks:
         click.echo(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
     sys.exit(0 if passed else 1)
@@ -563,22 +560,17 @@ def verify_cmd(config_path, lin_dir, **overrides):
 
 @main.command("linearize")
 @_with_shared
-def linearize_cmd(config_path, **overrides):
+def linearize_cmd(config_path, **flags):
     """Dump K, b, Lambda, lambda, sigma as CSV files."""
-    try:
-        cfg = _config_from_cli(config_path, **overrides)
-        _, lg, _, _ = _build_setup(cfg)
-    except MopschedError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    cfg = _config_from_cli(config_path, **flags)
+    _, lg, _, _ = _build_setup(cfg)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    np.savetxt(outdir / "K.csv", lg.K, delimiter=",", fmt="%.17g")
-    np.savetxt(outdir / "b.csv", lg.b, delimiter=",", fmt="%.17g")
-    np.savetxt(outdir / "Lambda.csv", lg.loss_quad.Lambda, delimiter=",", fmt="%.17g")
-    np.savetxt(outdir / "lambda.csv", lg.loss_quad.lam, delimiter=",", fmt="%.17g")
-    np.savetxt(outdir / "sigma.csv", [lg.loss_quad.sigma], delimiter=",", fmt="%.17g")
-    for name in ("K.csv", "b.csv", "Lambda.csv", "lambda.csv", "sigma.csv"):
+    arrays = _model_arrays(lg)
+    for name, array in arrays.items():
+        np.savetxt(outdir / name, array, delimiter=",", fmt="%.17g")
+    # every file is written before any path is echoed: a closed stdout cannot cut the set short
+    for name in arrays:
         click.echo(str(outdir / name))
     sys.exit(0)
 
@@ -590,13 +582,9 @@ def linearize_cmd(config_path, **overrides):
 @click.option("--out", default=None, help="optional EC series CSV")
 def ec_cmd(input_path, s_total, eps, out):
     """Compute the EC series and MEC of an existing mission profile."""
-    try:
-        s_mp = _mission.read_mission_apparent_powers(input_path)
-        tol = eps if eps is not None else _mission.EC_EPS_FRACTION * s_total
-        ec = [_mission.electrical_cardinality(row, tol) for row in s_mp]
-    except (MopschedError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    s_mp = _mission.read_mission_apparent_powers(input_path)
+    tol = eps if eps is not None else _mission.EC_EPS_FRACTION * s_total
+    ec = [_mission.electrical_cardinality(row, tol) for row in s_mp]
     if out:
         with open(out, "w") as fh:
             fh.write("t,EC\n")

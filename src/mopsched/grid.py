@@ -67,8 +67,10 @@ class BusNetwork:
         bad_kind = [b.id for b in self.buses if b.kind not in ("slack", "load")]
         if bad_kind:
             raise ModelError(f"unknown bus kind on {bad_kind}")
-        if not (np.isfinite(self.s_base_kva) and np.isfinite(self.slack_voltage)):
-            raise ModelError("network base power and slack voltage must be finite")
+        if not (np.isfinite(self.s_base_kva) and self.s_base_kva > 0):
+            raise ModelError(f"network base power must be finite and positive, got {self.s_base_kva!r}")
+        if not 0.5 <= abs(self.slack_voltage) <= 1.5:
+            raise ModelError(f"slack voltage magnitude must be within [0.5, 1.5] pu, got {self.slack_voltage!r}")
         id_set = set(ids)
         for br in self.branches:
             if br.from_bus not in id_set or br.to_bus not in id_set:

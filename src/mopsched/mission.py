@@ -63,10 +63,11 @@ class HorizonInput:
         for name, series in self.profiles.items():
             if np.any(np.asarray(series) < 0):
                 raise ValidationError(f"profile {name!r} has negative multipliers")
+        known = list(self.profiles)  # a profile name from a config may be any JSON value, even a list
         for load in self.loads:
-            if load.profile not in self.profiles:
+            if load.profile not in known:
                 raise ValidationError(f"load at {load.bus} references unknown profile {load.profile!r}")
-        if self.der is not None and self.der.profile not in self.profiles:
+        if self.der is not None and self.der.profile not in known:
             raise ValidationError(f"DER references unknown profile {self.der.profile!r}")
         numbers = [
             ("timestep_hours", self.timestep_hours),
@@ -428,7 +429,7 @@ def write_mission_csv(profile, path):
 
 def read_mission_apparent_powers(path):
     """S_c columns of a mission-profile CSV, as a tau x m array (kVA)."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -85,7 +85,7 @@ def write_profiles_csv(path, profiles):
 
 
 def read_profiles_csv(path):
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -96,6 +96,19 @@ MALFORMED_ENTRIES = {
         lambda cfg: cfg["converter"]["dc_der"].pop("peak_kw"),
         "converter dc_der has no 'peak_kw'",
     ),
+    "load_profile_list": (lambda cfg: cfg["loads"][0].update(profile=[]), "unknown profile []"),
+    "dc_der_profile_object": (
+        lambda cfg: cfg["converter"]["dc_der"].update(profile={}),
+        "DER references unknown profile {}",
+    ),
+}
+
+# case -> (network key, value, text the error must contain)
+OUT_OF_RANGE_NETWORKS = {
+    "s_base_zero": ("s_base_kva", 0.0, "network base power must be finite and positive"),
+    "s_base_tiny": ("s_base_kva", 1e-200, "pu of the network base"),
+    "slack_voltage_zero": ("slack_voltage_pu", [0.0, 0.0], "slack voltage magnitude"),
+    "slack_voltage_tiny": ("slack_voltage_pu", [1e-300, 0.0], "slack voltage magnitude"),
 }
 
 BAD_SETTINGS = {
@@ -107,6 +120,70 @@ BAD_SETTINGS = {
     "feastol_negative": ("solver", "feastol", -1e-9),
     "gamma_above_one": ("solver", "gamma", 1.5),
     "refine_boolean": ("solver", "refine", True),
+}
+
+
+# case -> (edit of the config document, config key the error must name)
+MALFORMED_SHAPES = {
+    "voltage_list": (lambda cfg: cfg.update(voltage=[]), "voltage"),
+    "synthetic_number": (lambda cfg: cfg.update(synthetic=5), "synthetic"),
+    "network_number": (lambda cfg: cfg.update(network=5), "network"),
+    "profiles_list": (lambda cfg: cfg.update(profiles=["synthetic"]), "profiles"),
+    "output_dir_number": (lambda cfg: cfg.update(output_dir=5), "output_dir"),
+    "monitored_buses_number": (
+        lambda cfg: cfg["voltage"].update(monitored_buses=7),
+        "monitored_buses",
+    ),
+}
+
+# case -> (edit of the config document, extra flags, text the error must contain)
+BAD_COUNTS = {
+    "days_fraction": (lambda cfg: cfg["synthetic"].update(days=1.7), [], "synthetic days"),
+    "steps_per_day_zero": (
+        lambda cfg: cfg["synthetic"].update(steps_per_day=0),
+        [],
+        "synthetic steps_per_day",
+    ),
+    "seed_negative": (lambda cfg: cfg.update(seed=-1), [], "seed"),
+    "seed_fraction": (lambda cfg: cfg.update(seed=2.5), [], "seed"),
+    "seed_flag_negative": (lambda cfg: None, ["--seed", "-1"], "seed"),
+}
+
+
+def _write(path, data):
+    path.write_bytes(data)
+    return str(path)
+
+
+def _run(tmp_path, *flags):
+    """Arguments of ``mopsched run`` on the config file of ``small_config``."""
+    return ["run", "--config", str(tmp_path / "config.json"), *flags]
+
+
+def _bad_json_network(tmp_path, cfg):
+    cfg["network"] = _write(tmp_path / "network.json", b"[1,")
+    return _run(tmp_path)
+
+
+def _non_utf8_profiles(tmp_path, cfg):
+    cfg["profiles"] = _write(tmp_path / "profiles.csv", b"timestep,solar\n0,\xff\n")
+    return _run(tmp_path)
+
+
+# case -> the command-line arguments, given the test directory and the config
+# document, which the case may edit before it is written
+BAD_INPUTS = {
+    "config_bad_json": lambda d, cfg: ["run", "--config", _write(d / "bad.json", b'{"network": ')],
+    "config_not_utf8": lambda d, cfg: ["run", "--config", _write(d / "bad.json", b'{"network": "\xff"}')],
+    "network_bad_json": _bad_json_network,
+    "config_directory": lambda d, cfg: ["run", "--config", str(d)],
+    "config_nested_too_deep": lambda d, cfg: ["run", "--config", _write(d / "bad.json", b"[" * 10**5)],
+    "profiles_directory": lambda d, cfg: _run(d, "--profiles", str(d)),
+    "profiles_not_utf8": _non_utf8_profiles,
+    "ec_input_not_utf8": lambda d, cfg: [
+        "ec", "--input", _write(d / "mission.csv", b"t,S_c_1\n0,\xff\n"), "--s-total", "400"
+    ],
+    "cardinality_token": lambda d, cfg: _run(d, "--cardinality", "1,x"),
 }
 
 
@@ -217,6 +294,63 @@ class TestRun:
         result = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
         assert result.exit_code == 2, result.output
         assert f"{section} {key} must be" in result.output
+        assert not Path(cfg["output_dir"]).exists()
+
+    @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_NETWORKS))
+    def test_out_of_range_network_exits_2(self, small_config, tmp_path, case):
+        path, cfg = small_config
+        key, value, message = OUT_OF_RANGE_NETWORKS[case]
+        net = json.loads(cli._fixture_path("network_5bus.json").read_text())
+        net[key] = value
+        cfg["network"] = _write(tmp_path / "network.json", json.dumps(net).encode())
+        path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not Path(cfg["output_dir"]).exists()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SHAPES))
+    def test_malformed_shape_exits_2(self, small_config, tmp_path, monkeypatch, case):
+        path, cfg = small_config
+        edit, key = MALFORMED_SHAPES[case]
+        edit(cfg)
+        path.write_text(json.dumps(cfg))
+        monkeypatch.chdir(tmp_path)  # a relative output directory would land here
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output and key in result.output
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("section, key", [("mip", "rel_gapp"), ("solver", "max_iters")])
+    def test_unknown_setting_exits_2(self, small_config, section, key):
+        path, cfg = small_config
+        cfg.setdefault(section, {})[key] = 0.5
+        path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert f"unknown {section} settings ['{key}']" in result.output
+        assert not Path(cfg["output_dir"]).exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_COUNTS))
+    def test_count_not_whole_exits_2(self, small_config, case):
+        path, cfg = small_config
+        edit, flags, name = BAD_COUNTS[case]
+        edit(cfg)
+        path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(path), *flags])
+        assert result.exit_code == 2, result.output
+        assert f"{name} must be a whole number" in result.output
+        assert not Path(cfg["output_dir"]).exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_exits_2(self, small_config, tmp_path, case):
+        path, cfg = small_config
+        args = BAD_INPUTS[case](tmp_path, cfg)
+        path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(cli.main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in result.output
         assert not Path(cfg["output_dir"]).exists()
 
     def test_summary_reports_every_status(self, small_config, monkeypatch):
@@ -387,6 +521,14 @@ class TestVerify:
             ],
         )
         assert r.exit_code == 2
+
+    def test_bad_input_makes_no_output_dir(self, tmp_path):
+        out = tmp_path / "rep"
+        r = CliRunner().invoke(
+            cli.main, ["verify", "--config", "5bus", "--network", "nope.json", "--out", str(out)]
+        )
+        assert r.exit_code == 2, r.output
+        assert not out.exists()
 
     def test_intact_linearization_passes(self, tmp_path):
         runner = CliRunner()

@@ -30,13 +30,24 @@ from . import oracle as _oracle
 from . import profiles as _profiles
 from . import solver as _solver
 from . import svgplot
-from .errors import MopschedError, ValidationError, count_setting
+from .errors import MopschedError, ValidationError, count_setting, real_number
 from .program import UNCONSTRAINED, ConverterSpec, build_timestep_program, serialize_ir
 
 _FIXTURE_NETWORKS = {"ieee33": "network_ieee33.json", "5bus": "network_5bus.json"}
 _FIXTURE_CONFIGS = {"ieee33": "config_ieee33.json", "5bus": "config_5bus.json"}
 # no feeder comes near this many per-unit powers; far beyond it the loss quadratic overflows
 _MAX_PU = 1e6
+# a synthetic horizon of more steps is refused before its profiles are drawn; an
+# annual horizon at one-minute steps has 525,600
+_MAX_STEPS = 10**6
+# the config key of each numeric RunConfig field, for error messages
+_NUMBER_KEYS = {
+    "s_total_kva": "converter s_total_kva",
+    "loss_coeff": "converter loss_coeff",
+    "v_min": "voltage v_min_pu",
+    "v_max": "voltage v_max_pu",
+    "timestep_hours": "timestep_hours",
+}
 
 
 def _fixture_path(name):
@@ -83,9 +94,16 @@ class RunConfig:
                 raise ValidationError(f"{name} must be a path, got {value!r}")
         if not isinstance(self.monitored_buses, (list, type(None))):
             raise ValidationError(f"monitored_buses must be a list or null, got {self.monitored_buses!r}")
+        for name, key in _NUMBER_KEYS.items():
+            setattr(self, name, real_number(key, getattr(self, name)))
         self.cardinality = list(self.cardinality)
         self.days = count_setting("synthetic days", self.days, 1)
         self.steps_per_day = count_setting("synthetic steps_per_day", self.steps_per_day, 1)
+        if self.profiles == "synthetic" and self.days * self.steps_per_day > _MAX_STEPS:
+            raise ValidationError(
+                f"a synthetic horizon of {self.days} days x {self.steps_per_day} steps"
+                f" exceeds {_MAX_STEPS:,} timesteps"
+            )
         self.seed = count_setting("seed", self.seed, 0)
 
 
@@ -110,19 +128,19 @@ def load_config(source):
         return RunConfig(
             network=doc["network"],
             pcc_buses=[str(b) for b in conv["pcc_buses"]],
-            s_total_kva=float(conv["s_total_kva"]),
-            loss_coeff=float(conv.get("loss_coeff", RunConfig.loss_coeff)),
+            s_total_kva=conv["s_total_kva"],
+            loss_coeff=conv.get("loss_coeff", RunConfig.loss_coeff),
             dc_der=conv.get("dc_der"),
             loads=list(doc.get("loads", [])),
-            v_min=float(voltage.get("v_min_pu", RunConfig.v_min)),
-            v_max=float(voltage.get("v_max_pu", RunConfig.v_max)),
+            v_min=voltage.get("v_min_pu", RunConfig.v_min),
+            v_max=voltage.get("v_max_pu", RunConfig.v_max),
             monitored_buses=voltage.get("monitored_buses"),
             cardinality=doc.get("cardinality", RunConfig.cardinality),
             profiles=doc.get("profiles", RunConfig.profiles),
             days=synth.get("days", RunConfig.days),
             steps_per_day=synth.get("steps_per_day", RunConfig.steps_per_day),
             seed=doc.get("seed", RunConfig.seed),
-            timestep_hours=float(doc.get("timestep_hours", RunConfig.timestep_hours)),
+            timestep_hours=doc.get("timestep_hours", RunConfig.timestep_hours),
             mip=dict(_section(doc, "mip")),
             solver=dict(_section(doc, "solver")),
             output_dir=doc.get("output_dir", RunConfig.output_dir),

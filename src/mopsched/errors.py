@@ -42,6 +42,16 @@ def _as_float(value):
         return math.inf
 
 
+def real_number(name, value):
+    """``value`` as a float, if it is a real number (not a bool or a string).
+
+    Range and finiteness are left to the code the value is for.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return _as_float(value)
+
+
 def real_setting(name, value, high=math.inf):
     """``value`` as a float, if it is a finite number in (0, ``high``]."""
     x = _as_float(value)

@@ -7,6 +7,13 @@ are cost-free support indicators, any node relaxation whose active-leg count
 already satisfies the cardinality budget is integer-repairable on the spot,
 which keeps trees tiny.  The final incumbent is re-solved with its binaries
 hard-fixed, so big-M leakage cannot survive into the returned solution.
+
+The search is a generator, ``_branch_and_bound``, that yields every SOCP it
+needs solved: node relaxations, their retries and the verification solve.
+``solve_misocp`` drives one search through ``solver.solve_socp``;
+``solve_misocp_many`` drives many in lockstep waves through
+``solver.solve_socp_many``.  A search is sent the same solutions either way,
+so it takes the same path and returns the same result.
 """
 
 from __future__ import annotations
@@ -94,17 +101,6 @@ def branch(node_fixed, z_values, binaries):
     return best_var, (lo, hi)
 
 
-def _solve_relaxation(ir, fixed, settings):
-    rel = _relaxed_program(ir, fixed)
-    sol = _solver.solve_socp(rel, {}, settings)
-    if sol.status == _solver.NUMERICAL_FAILURE:
-        retry = replace(
-            settings or _solver.SolverSettings(), refine=4, ruiz_iter=8, reg=1e-9
-        )
-        sol = _solver.solve_socp(rel, {}, retry)
-    return sol
-
-
 def _repair_support(ir, sol, fixed):
     """Integral fixing matching the relaxation's active legs, if within budget.
 
@@ -127,12 +123,73 @@ def _repair_support(ir, sol, fixed):
 
 def solve_misocp(ir, cfg=None, settings=None, trace=None):
     """Branch-and-bound MISOCP solve; delegates to the SOCP engine when the
-    program has no binaries."""
+    program has no binaries.  ``trace`` names a CSV file for the B&B nodes."""
+    bnb = _branch_and_bound(ir, cfg, settings, trace)
+    request = bnb.send(None)
+    while True:
+        try:
+            request = bnb.send(_solver.solve_socp(*request))
+        except StopIteration as done:
+            return done.value
+
+
+def _batch_width(ir):
+    """Programs shaped like ``ir`` whose root SOCPs fill one solver batch.
+
+    The root of a search solves ``ir`` with its binaries relaxed, which adds
+    two bound rows per binary; presolve only shrinks that program, so its
+    batches hold at least this many.
+    """
+    root = _relaxed_program(ir, {}) if ir.binaries else ir
+    q = len(root.inequalities) + sum(1 + len(cone.tail) for cone in root.soc_cones)
+    return _solver._batch_size(len(root.variables), len(root.equalities), q)
+
+
+def solve_misocp_many(irs, cfg=None, settings=None):
+    """Solve each program as ``solve_misocp`` would, their SOCPs in lockstep waves.
+
+    Each unfinished solve puts the SOCP it waits on into a wave, which
+    ``solver.solve_socp_many`` solves in batches; then each runs on to its
+    next SOCP or its end.  Returns one entry per program, in order: its
+    MipSolution, or the MopschedError its solve raised.
+    """
+    results = [None] * len(irs)
+    waiting = []  # (program index, its B&B generator, the SOCP request it waits on)
+
+    def run(i, bnb, sol=None):
+        """Hand ``sol`` to program i's generator and run it to its next request or its end."""
+        try:
+            request = bnb.throw(sol) if isinstance(sol, MopschedError) else bnb.send(sol)
+        except StopIteration as done:
+            results[i] = done.value
+        except MopschedError as exc:
+            results[i] = exc
+        else:
+            waiting.append((i, bnb, request))
+
+    for i, ir in enumerate(irs):
+        run(i, _branch_and_bound(ir, cfg, settings))
+    while waiting:
+        wave, waiting = waiting, []
+        solved = _solver.solve_socp_many([request for _, _, request in wave])
+        for (i, bnb, _), sol in zip(wave, solved):
+            run(i, bnb, sol)
+    return results
+
+
+def _branch_and_bound(ir, cfg=None, settings=None, trace=None):
+    """The body of ``solve_misocp``, as a generator of the SOCPs it needs solved.
+
+    Yields each continuous program to solve as a ``solver.solve_socp``
+    argument tuple (ir, fixings, settings) and takes the ConicSolution back
+    by ``send``; a MopschedError the solve raised comes back by ``throw``.
+    Returns the MipSolution.
+    """
     cfg = cfg or BnBConfig()
     trace_rows = [] if trace is not None else None
 
     if not ir.binaries:
-        sol = _solver.solve_socp(ir, {}, settings)
+        sol = yield ir, {}, settings
         if sol.status == _solver.OPTIMAL:
             return MipSolution(
                 status="optimal",
@@ -180,7 +237,13 @@ def solve_misocp(ir, cfg=None, settings=None, trace=None):
             break
         nodes_explored += 1
 
-        sol = _solve_relaxation(ir, fixed, settings)
+        rel = _relaxed_program(ir, fixed)
+        sol = yield rel, {}, settings
+        if sol.status == _solver.NUMERICAL_FAILURE:
+            retry = replace(
+                settings or _solver.SolverSettings(), refine=4, ruiz_iter=8, reg=1e-9
+            )
+            sol = yield rel, {}, retry
         if sol.status == _solver.INFEASIBLE:
             continue
         if sol.status != _solver.OPTIMAL:
@@ -238,7 +301,7 @@ def solve_misocp(ir, cfg=None, settings=None, trace=None):
         status = "optimal" if incumbent_obj - global_bound <= tol0 else "gap_reached"
 
     # Final verification solve with binaries hard-fixed (checks big-M semantics).
-    final = _solver.solve_socp(ir, incumbent_fix, settings)
+    final = yield ir, incumbent_fix, settings
     if final.status != _solver.OPTIMAL:
         raise MopschedError(
             f"incumbent re-verification failed with status {final.status}"

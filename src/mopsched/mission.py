@@ -14,6 +14,7 @@ naturally against capacity in kVA.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -174,20 +175,22 @@ def _der_output(grid, conv, horizon, t):
     return horizon.der.peak_kw * horizon.profiles[horizon.der.profile][t] / grid.s_base_kva
 
 
-def _solve_timestep(grid, conv, horizon, cfg, settings, t):
-    s_base = grid.s_base_kva
+def _timestep_program(grid, conv, horizon, t):
+    """Timestep ``t``'s program, DER output included."""
     ts = _timestep_input(grid, horizon, t, _der_output(grid, conv, horizon, t))
-    ir = build_timestep_program(grid, conv, ts)
+    return build_timestep_program(grid, conv, ts)
+
+
+def _timestep_result(grid, conv, t, ir, ms):
+    """One mission row from timestep ``t``'s MipSolution, or the MopschedError of its solve."""
+    s_base = grid.s_base_kva
     baseline_kw = ir.loss_model["sigma"] * s_base
     m = conv.m
-    try:
-        ms = _mip.solve_misocp(ir, cfg, settings)
-        status = ms.status
-    except MopschedError as exc:
+    if isinstance(ms, MopschedError):
         # a failed timestep is data, not a reason to abort the horizon
-        ms = None
-        status = "error"
-        error = str(exc)
+        ms, status, error = None, "error", str(ms)
+    else:
+        status = ms.status
     if ms is None or ms.incumbent is None:
         out = dict(
             t=t,
@@ -232,12 +235,23 @@ def _adopt_task(task):
 
 
 def _solve_share(task, k, shares):
-    """Results of the timesteps t = k, k + shares, k + 2*shares, ... of ``task``."""
+    """Results of the timesteps t = k, k + shares, k + 2*shares, ... of ``task``.
+
+    The timesteps are solved by ``mip.solve_misocp_many`` in windows of as
+    many as one solver batch holds, so that a window's first wave fills a
+    batch while its programs, searches and batches stay within the solver's
+    byte budget.
+    """
     grid, conv, horizon, cfg, settings = task
-    return [
-        _solve_timestep(grid, conv, horizon, cfg, settings, t)
-        for t in range(k, horizon.tau, shares)
-    ]
+    steps = iter(range(k, horizon.tau, shares))
+    results = []
+    for t in steps:
+        irs = [_timestep_program(grid, conv, horizon, t)]
+        window = [t] + list(itertools.islice(steps, _mip._batch_width(irs[0]) - 1))
+        irs += [_timestep_program(grid, conv, horizon, t) for t in window[1:]]
+        solved = _mip.solve_misocp_many(irs, cfg, settings)
+        results += [_timestep_result(grid, conv, *row) for row in zip(window, irs, solved)]
+    return results
 
 
 def _worker_share(k, shares):

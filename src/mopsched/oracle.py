@@ -37,8 +37,9 @@ class OracleResult:
 def enumerate_supports(ir, n, settings=None):
     """Best objective over all binary supports of size <= n.
 
-    Solves the support-fixed SOCP for every subset; infeasible subsets are
-    skipped.  Returns infeasible only when every subset is.
+    Solves the support-fixed SOCP for every subset, the subsets of one size
+    as one ``solver.solve_socp_many`` batch; infeasible subsets are skipped.
+    Returns infeasible only when every subset is.
     """
     m = len(ir.binaries)
     if m == 0:
@@ -50,11 +51,14 @@ def enumerate_supports(ir, n, settings=None):
     best = None
     solves = 0
     for size in range(int(n) + 1):
-        for subset in itertools.combinations(range(m), size):
-            fixings = {
-                z: (1.0 if i in subset else 0.0) for i, z in enumerate(ir.binaries)
-            }
-            sol = _solver.solve_socp(ir, fixings, settings)
+        subsets = list(itertools.combinations(range(m), size))
+        requests = [
+            (ir, {z: (1.0 if i in subset else 0.0) for i, z in enumerate(ir.binaries)}, settings)
+            for subset in subsets
+        ]
+        for subset, sol in zip(subsets, _solver.solve_socp_many(requests)):
+            if isinstance(sol, MopschedError):
+                raise sol
             solves += 1
             if sol.status == _solver.INFEASIBLE:
                 continue

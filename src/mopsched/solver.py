@@ -8,12 +8,29 @@ where K is a product of a nonnegative orthant and second-order cones, via a
 homogeneous self-dual embedding with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector.  Infeasibility and unboundedness are certified from the
 embedding.  All linear algebra is dense: the timestep programs have tens of
-variables (a KKT matrix of 9 to 136 rows).  At that size the per-call cost of
-Python wrappers outweighs the arithmetic, so each solve lays out its cones and
-fills the constant blocks of its KKT matrix once; an iteration writes only
-the -W^2 block and calls LAPACK getrf/getrs directly.  Every floating-point
-operation is the one scipy.linalg.lu_factor/lu_solve would run, so results
-are bit-for-bit those of the wrapper calls.
+variables (a KKT matrix of 9 to 136 rows).
+
+At that size the per-call cost of numpy and of the LAPACK wrappers outweighs
+the arithmetic, so the interior-point method runs on a batch: a (k, ...)
+stack of programs of equal dimensions, advanced in lockstep, each instance
+leaving the stack when it finishes.  Every floating-point operation of an
+instance is the one a lone solve runs, so a batch gives each program the
+bits it would get alone:
+
+* dot products and norms are ``np.vecdot`` (one BLAS ddot per instance and
+  cone), matrix-vector and matrix-matrix products are stacked
+  ``np.matmul`` (one gemv or gemm per instance), and ``solve(W, .)`` is a
+  stacked ``np.linalg.solve`` (one dgesv per instance);
+* each instance's KKT matrix is factored by LAPACK getrf and solved by
+  getrs with iterative refinement, called directly, one call per instance;
+* Python's scalar ``min``/``max`` and ``**`` become ``np.where`` chains and
+  ``np.float_power``.
+
+Each batch lays out its cones and fills the constant blocks of its KKT
+matrices once; an iteration writes only the -W^2 blocks.  ``solve_socp_many``
+groups requests by dimensions and settings and cuts each group into batches
+of at most ``_MAX_BATCH`` instances whose KKT, LU and W arrays fit
+``_BATCH_BYTES``; ``solve_socp`` and ``solve_conelp`` are batches of one.
 
 Pipeline for a program IR:  fix binaries -> substitution presolve -> Ruiz
 equilibration -> interior-point solve -> unscale -> reassemble full-variable
@@ -30,12 +47,21 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
-from .errors import ValidationError, count_setting, real_setting
+from .errors import MopschedError, ValidationError, count_setting, real_setting
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 NUMERICAL_FAILURE = "numerical_failure"
+
+# Bytes of KKT, LU and W arrays one batch may hold: 4 instances of an ieee33
+# branch-and-bound relaxation (KKT 136), 5 of an unconstrained ieee33
+# program (KKT 119), and more than _MAX_BATCH of a 5-bus one (KKT 39 to 48).
+_BATCH_BYTES = 2 << 20
+# Beyond this many instances a batch gains little per iteration, since each
+# numpy call's cost is already spread thin, while a bigger batch's window
+# holds more programs and searches in memory.
+_MAX_BATCH = 24
 
 
 @dataclass(frozen=True)
@@ -76,8 +102,32 @@ class ConicSolution:
     info: dict = field(default_factory=dict)
 
 
+# --- batched elementwise helpers ----------------------------------------------
+# Python's max(a, b) returns b only when b > a, so a NaN in b never wins and a
+# NaN in a never loses; np.maximum would propagate either.
+
+
+def _larger(a, b):
+    return np.where(b > a, b, a)
+
+
+def _smaller(a, b):
+    return np.where(b < a, b, a)
+
+
+def _mv(M, v):
+    """Stacked matrix-vector products M[i] @ v[i]: one gemv per instance."""
+    return np.matmul(M, v[..., None])[..., 0]
+
+
+def _norm(v):
+    """np.linalg.norm of each row of v: sqrt of one ddot per row."""
+    return np.sqrt(np.vecdot(v, v))
+
+
 # --- cone utilities ---------------------------------------------------------
-# Vectors are split as [orthant (l entries), soc block 1, soc block 2, ...].
+# Vectors are split as [orthant (l entries), soc block 1, soc block 2, ...];
+# the batched helpers take a (k, size) stack of such vectors.
 
 
 def _soc_slices(dims):
@@ -91,10 +141,14 @@ def _soc_slices(dims):
 
 
 class _Cones:
-    """Layout of the cone K, worked out once per solve.
+    """Layout of the cone K, worked out once per batch.
 
-    ``socs`` holds (head index, tail slice, block slice) for each second-order
-    cone and ``eyes`` the identity matrix of each tail length.
+    ``groups`` holds one index array per second-order-cone dimension d, of
+    shape (cones of dimension d, d): row j lists the positions of one cone's
+    block, head first.  Cone operations gather a group with ``take`` into a
+    C-ordered (k, cones, d) array, so that every dot product runs over
+    contiguous memory as in a lone solve (BLAS rounds strided dot products
+    differently), and work on all its cones at once.
     """
 
     def __init__(self, dims):
@@ -102,26 +156,26 @@ class _Cones:
         self.l = l
         self.size = l + sum(qs)
         self.degree = l + len(qs)
-        self.lin = np.arange(l)
-        self.socs = [
-            (blk.start, slice(blk.start + 1, blk.stop), blk) for blk in _soc_slices(dims)
-        ]
-        self.eyes = {d - 1: np.eye(d - 1) for d in qs}
+        by_dim = {}
+        for blk in _soc_slices(dims):
+            by_dim.setdefault(blk.stop - blk.start, []).append(np.arange(blk.start, blk.stop))
+        self.groups = [np.array(rows) for rows in by_dim.values()]
         self.e = np.zeros(self.size)
         self.e[:l] = 1.0
-        for i, _, _ in self.socs:
-            self.e[i] = 1.0
+        for idx in self.groups:
+            self.e[idx[:, 0]] = 1.0
 
 
 def _jordan_prod(u, v, cones):
     l = cones.l
     out = np.empty_like(u)
-    out[:l] = u[:l] * v[:l]
-    for i, tail, _ in cones.socs:
-        u0, u1 = u[i], u[tail]
-        v0, v1 = v[i], v[tail]
-        out[i] = u0 * v0 + u1 @ v1
-        out[tail] = u0 * v1 + v0 * u1
+    out[:, :l] = u[:, :l] * v[:, :l]
+    for idx in cones.groups:
+        ub, vb = u.take(idx, axis=1), v.take(idx, axis=1)
+        u0, v0 = ub[..., :1], vb[..., :1]
+        u1, v1 = ub[..., 1:], vb[..., 1:]
+        out[:, idx[:, 0]] = u0[..., 0] * v0[..., 0] + np.vecdot(u1, v1)
+        out[:, idx[:, 1:]] = u0 * v1 + v0 * u1
     return out
 
 
@@ -129,87 +183,96 @@ def _jordan_div(lam, d, cones):
     """Solve lam o u = d for u."""
     l = cones.l
     out = np.empty_like(d)
-    out[:l] = d[:l] / lam[:l]
-    for i, tail, _ in cones.socs:
-        l0, l1 = lam[i], lam[tail]
-        d0, d1 = d[i], d[tail]
-        det = l0 * l0 - l1 @ l1
-        u0 = (l0 * d0 - l1 @ d1) / det
-        out[i] = u0
-        out[tail] = (d1 - u0 * l1) / l0
+    out[:, :l] = d[:, :l] / lam[:, :l]
+    for idx in cones.groups:
+        lb, db = lam.take(idx, axis=1), d.take(idx, axis=1)
+        l0, l1 = lb[..., 0], lb[..., 1:]
+        d0, d1 = db[..., 0], db[..., 1:]
+        det = l0 * l0 - np.vecdot(l1, l1)
+        u0 = (l0 * d0 - np.vecdot(l1, d1)) / det
+        out[:, idx[:, 0]] = u0
+        out[:, idx[:, 1:]] = (d1 - u0[..., None] * l1) / l0[..., None]
     return out
 
 
+def _ratio(num, den, where):
+    """num / den where ``where`` holds, +inf elsewhere (and no warning there)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(where, num / den, np.inf)
+
+
 def _max_step(u, du, cones):
-    """sup { alpha >= 0 : u + alpha du in K } for u interior to K."""
-    ul, dl = u[: cones.l], du[: cones.l]
-    alpha = np.inf
-    neg = dl < 0
-    if neg.any():
-        alpha = float((-ul[neg] / dl[neg]).min())
-    for i, tail, _ in cones.socs:
-        u0, u1 = u[i], u[tail]
-        d0, d1 = du[i], du[tail]
-        a = d0 * d0 - d1 @ d1
-        bq = u0 * d0 - u1 @ d1
-        cq = u0 * u0 - u1 @ u1
-        roots = []
-        if abs(a) < 1e-300:
-            if bq < 0:
-                roots.append(-cq / (2.0 * bq))
-        else:
-            disc = bq * bq - a * cq
-            if disc >= 0.0:
-                sq = math.sqrt(disc)
-                r1, r2 = (-bq + sq) / a, (-bq - sq) / a
-                if r1 > 0:
-                    roots.append(r1)
-                if r2 > 0:
-                    roots.append(r2)
-        if d0 < 0:
-            roots.append(-u0 / d0)
-        if roots:
-            alpha = min(alpha, min(roots))
+    """sup { alpha >= 0 : u + alpha du in K } for each row u interior to K."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ul, dl = u[:, : cones.l], du[:, : cones.l]
+        alpha = np.where(dl < 0, -ul / dl, np.inf).min(axis=1, initial=np.inf)
+        for idx in cones.groups:
+            ub, db = u.take(idx, axis=1), du.take(idx, axis=1)
+            u0, u1 = ub[..., 0], ub[..., 1:]
+            d0, d1 = db[..., 0], db[..., 1:]
+            a = d0 * d0 - np.vecdot(d1, d1)
+            bq = u0 * d0 - np.vecdot(u1, d1)
+            cq = u0 * u0 - np.vecdot(u1, u1)
+            # the positive roots of a alpha^2 + 2 bq alpha + cq, and the head's
+            # zero; a negative discriminant gives NaN roots, which never pass > 0
+            sq = np.sqrt(bq * bq - a * cq)
+            r1, r2 = (-bq + sq) / a, (-bq - sq) / a
+            curved = np.minimum(np.where(r1 > 0, r1, np.inf), np.where(r2 > 0, r2, np.inf))
+            flat = np.where(bq < 0, -cq / (2.0 * bq), np.inf)
+            roots = np.where(abs(a) < 1e-300, flat, curved)
+            roots = np.minimum(roots, np.where(d0 < 0, -u0 / d0, np.inf))
+            # every candidate is positive or +inf, so the order of the minima
+            # does not matter
+            alpha = np.minimum(alpha, roots.min(axis=1))
     return alpha
 
 
 def _interior_violation(u, cones):
     """max over blocks of distance past the cone boundary (<0 means interior)."""
     l = cones.l
-    worst = -np.inf
+    worst = np.full(len(u), -np.inf)
     if l:
-        worst = float(np.max(-u[:l]))
-    for i, tail, _ in cones.socs:
-        worst = max(worst, float(np.linalg.norm(u[tail]) - u[i]))
+        worst = np.max(-u[:, :l], axis=1)
+    for idx in cones.groups:
+        ub = u.take(idx, axis=1)
+        past = _norm(ub[..., 1:]) - ub[..., 0]
+        for j in range(len(idx)):
+            worst = _larger(worst, past[:, j])
     return worst
 
 
 def _nt_scaling(s, z, cones):
-    """Dense NT scaling W (symmetric PD) with W z = W^-1 s = lam."""
-    l = cones.l
-    W = np.zeros((cones.size, cones.size))
-    lam = np.zeros(cones.size)
-    W[cones.lin, cones.lin] = np.sqrt(s[:l] / z[:l])
-    lam[:l] = np.sqrt(s[:l] * z[:l])
-    for _, _, blk in cones.socs:
-        sb, zb = s[blk], z[blk]
-        rs = math.sqrt(sb[0] ** 2 - sb[1:] @ sb[1:])
-        rz = math.sqrt(zb[0] ** 2 - zb[1:] @ zb[1:])
-        sn, zn = sb / rs, zb / rz
-        gamma = math.sqrt((1.0 + sn @ zn) / 2.0)
-        wb = sn.copy()
-        wb[0] += zn[0]
-        wb[1:] -= zn[1:]
-        wb /= 2.0 * gamma
-        d = blk.stop - blk.start
-        Wb = np.empty((d, d))
-        Wb[0, 0] = wb[0]
-        Wb[0, 1:] = wb[1:]
-        Wb[1:, 0] = wb[1:]
-        Wb[1:, 1:] = cones.eyes[d - 1] + np.outer(wb[1:], wb[1:]) / (1.0 + wb[0])
-        Wb = math.sqrt(rs / rz) * Wb
-        W[blk, blk] = Wb
-        lam[blk] = Wb @ zb
+    """Dense NT scalings W (symmetric PD) with W z = W^-1 s = lam, per instance."""
+    k, l = len(s), cones.l
+    W = np.zeros((k, cones.size, cones.size))
+    lam = np.zeros((k, cones.size))
+    lin = np.arange(l)
+    W[:, lin, lin] = np.sqrt(s[:, :l] / z[:, :l])
+    lam[:, :l] = np.sqrt(s[:, :l] * z[:, :l])
+    for idx in cones.groups:
+        d = idx.shape[1]
+        sb, zb = s.take(idx, axis=1), z.take(idx, axis=1)
+        # a point outside the cone gives NaN here and fails _kkt_factor's guard
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rs = np.sqrt(np.float_power(sb[..., 0], 2.0) - np.vecdot(sb[..., 1:], sb[..., 1:]))
+            rz = np.sqrt(np.float_power(zb[..., 0], 2.0) - np.vecdot(zb[..., 1:], zb[..., 1:]))
+            sn, zn = sb / rs[..., None], zb / rz[..., None]
+            gamma = np.sqrt((1.0 + np.vecdot(sn, zn)) / 2.0)
+            wb = sn.copy()
+            wb[..., 0] += zn[..., 0]
+            wb[..., 1:] -= zn[..., 1:]
+            wb /= (2.0 * gamma)[..., None]
+            w1 = wb[..., 1:]
+            Wb = np.empty(wb.shape + (d,))
+            Wb[..., 0, 0] = wb[..., 0]
+            Wb[..., 0, 1:] = w1
+            Wb[..., 1:, 0] = w1
+            Wb[..., 1:, 1:] = np.eye(d - 1) + (w1[..., :, None] * w1[..., None, :]) / (
+                1.0 + wb[..., 0]
+            )[..., None, None]
+            Wb = np.sqrt(rs / rz)[..., None, None] * Wb
+        W[:, idx[:, :, None], idx[:, None, :]] = Wb
+        lam[:, idx] = _mv(Wb, zb)
     return W, lam
 
 
@@ -223,69 +286,75 @@ def _nt_scaling(s, z, cones):
 _NONFINITE = "array must not contain infs or NaNs"
 
 
-def _kkt_matrix(A, G, reg):
-    """The KKT matrices of one solve with their -W^2 block still empty.
+def _kkt_matrix(A, G):
+    """The KKT matrices of a batch, their -W^2 blocks still empty.
 
-    Returns (K, Kreg): K in C order, for the refinement residuals, and K plus
-    the static regularization (+reg on the x rows, -reg on the others) in
-    Fortran order, the layout getrf factors.  ``_kkt_factor`` fills the
-    -W^2 block of both.
+    ``A`` and ``G`` are (k, p, n) and (k, q, n) stacks.  ``_kkt_factor``
+    fills the -W^2 blocks.
     """
     if not (np.isfinite(A).all() and np.isfinite(G).all()):
         raise ValueError(_NONFINITE)
-    n = A.shape[1]
-    p, q = A.shape[0], G.shape[0]
-    dim = n + p + q
-    K = np.zeros((dim, dim))
+    k, p, n = A.shape
+    q = G.shape[1]
+    K = np.zeros((k, n + p + q, n + p + q))
     if p:
-        K[:n, n : n + p] = A.T
-        K[n : n + p, :n] = A
-    K[:n, n + p :] = G.T
-    K[n + p :, :n] = G
-    Kreg = np.array(K, order="F")
-    idx = np.arange(n + p)
-    Kreg[idx[:n], idx[:n]] += reg
-    Kreg[idx[n:], idx[n:]] -= reg
-    return K, Kreg
+        K[:, :n, n : n + p] = A.transpose(0, 2, 1)
+        K[:, n : n + p, :n] = A
+    K[:, :n, n + p :] = G.transpose(0, 2, 1)
+    K[:, n + p :, :n] = G
+    return K
 
 
-def _kkt_factor(K, Kreg, W2, reg):
-    """Write -W^2 into both KKT matrices and LU-factor Kreg; returns (lu, piv)."""
-    q = W2.shape[0]
-    dim = K.shape[0]
-    blk = slice(dim - q, dim)
-    np.negative(W2, out=K[blk, blk])
-    Kreg[blk, blk] = K[blk, blk]
-    idx = np.arange(dim - q, dim)
-    Kreg[idx, idx] -= reg
-    # the other blocks were checked by _kkt_matrix
-    if not np.isfinite(Kreg[blk, blk]).all():
-        raise ValueError(_NONFINITE)
-    lu, piv, info = scipy.linalg.lapack.dgetrf(Kreg)
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal getrf")
-    if info > 0:
-        warnings.warn(
-            f"Diagonal number {info} is exactly zero. Singular matrix.",
-            scipy.linalg.LinAlgWarning,
-            stacklevel=2,
-        )
-    return lu, piv
+def _kkt_factor(K, W, reg, n):
+    """Write -W^2 into the KKT stack and LU-factor each instance; returns a (lu, piv) each.
+
+    The factored matrix is K plus the static regularization, +reg on the
+    ``n`` x rows and -reg on the others, copied into Fortran order, the
+    layout getrf works in.
+    """
+    q = W.shape[-1]
+    dim = K.shape[-1]
+    block = K[:, dim - q :, dim - q :]
+    np.matmul(W, W, out=block)
+    np.negative(block, out=block)
+    if not np.isfinite(block).all():
+        raise ValueError(_NONFINITE)  # the other blocks were checked by _kkt_matrix
+    diag = np.arange(dim)
+    shifted = K[:, diag, diag] + np.where(diag < n, reg, -reg)
+    lus = []
+    for Ki, di in zip(K, shifted):
+        Kreg = np.array(Ki, order="F")
+        Kreg[diag, diag] = di
+        lu, piv, info = scipy.linalg.lapack.dgetrf(Kreg, overwrite_a=True)
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal getrf")
+        if info > 0:
+            warnings.warn(
+                f"Diagonal number {info} is exactly zero. Singular matrix.",
+                scipy.linalg.LinAlgWarning,
+                stacklevel=2,
+            )
+        lus.append((lu, piv))
+    return lus
 
 
-def _getrs(lu_piv, rhs, overwrite):
+def _getrs(lus, rhs):
+    """Solve each instance's system in place in ``rhs`` and return it."""
     if not np.isfinite(rhs).all():
         raise ValueError(_NONFINITE)
-    x, info = scipy.linalg.lapack.dgetrs(*lu_piv, rhs, overwrite_b=overwrite)
-    if info:
-        raise ValueError(f"illegal value in {-info}th argument of internal getrs")
-    return x
+    for (lu, piv), row in zip(lus, rhs):
+        x, info = scipy.linalg.lapack.dgetrs(lu, piv, row, overwrite_b=True)
+        if info:
+            raise ValueError(f"illegal value in {-info}th argument of internal getrs")
+        if x is not row:  # getrs solves a contiguous row in place
+            row[...] = x
+    return rhs
 
 
-def _kkt_solve(lu_piv, K, rhs, refine):
-    x = _getrs(lu_piv, rhs, False)
+def _kkt_solve(lus, K, rhs, refine):
+    x = _getrs(lus, rhs.copy())
     for _ in range(refine):
-        x += _getrs(lu_piv, rhs - K @ x, True)
+        x += _getrs(lus, rhs - _mv(K, x))
     return x
 
 
@@ -293,192 +362,260 @@ def solve_conelp(c, A, b, G, h, dims, settings=None, trace_rows=None):
     """Solve the standard-form cone LP; returns a raw result dict.
 
     ``dims`` = (l, [q1, q2, ...]).  Vectors in the result are in the same
-    (possibly scaled) data space as the inputs.
+    (possibly scaled) data space as the inputs.  ``trace_rows``, a list,
+    gets one row per iteration.  A batch of one.
     """
-    st = settings or SolverSettings()
     c = np.asarray(c, float)
     b = np.asarray(b, float)
     h = np.asarray(h, float)
     A = np.asarray(A, float).reshape(len(b), len(c))
     G = np.asarray(G, float).reshape(len(h), len(c))
-    n, p, q = len(c), len(b), len(h)
+    batch = (c[None], A[None], b[None], G[None], h[None])
+    return _solve_conelp_batch(*batch, dims, settings or SolverSettings(), [trace_rows])[0]
+
+
+class _Live:
+    """The unfinished instances of a batch, as row-aligned stacks.
+
+    ``data`` holds each instance's program and KKT matrix, ``v`` its iterate
+    [x, y, z, s, tau, kappa] in one row, ``best``, ``best_score`` and
+    ``best_metrics`` its best-scoring iterate so far, and ``ids`` its
+    position in the batch.
+    """
+
+    def __init__(self, data, v, traces):
+        self.ids = np.arange(len(v))
+        self.data = data
+        self.v = v
+        self.best = v.copy()
+        self.best_score = np.full(len(v), np.inf)
+        self.best_metrics = np.zeros((len(v), 6))
+        self.traces = traces
+
+    def drop(self, rows):
+        """Remove the rows where the mask ``rows`` holds."""
+        keep = ~rows
+        self.ids = self.ids[keep]
+        # one array at a time, so that only one is held twice
+        for key in self.data:
+            self.data[key] = self.data[key][keep]
+        self.v, self.best = self.v[keep], self.best[keep]
+        self.best_score, self.best_metrics = self.best_score[keep], self.best_metrics[keep]
+        self.traces = [t for t, kept in zip(self.traces, keep) if kept]
+
+
+_METRICS = ("pcost", "dcost", "gap", "relgap", "pres", "dres")
+
+
+def _solve_conelp_batch(c, A, b, G, h, dims, st, traces):
+    """``solve_conelp`` for each instance of (k, ...) stacks of equal dimensions.
+
+    ``traces`` holds, per instance, None or the list that gets its iteration
+    rows.  Returns one raw result dict per instance.
+    """
+    k, n = c.shape
+    p, q = b.shape[1], h.shape[1]
     if q == 0:
         raise ValidationError("program has no conic part")
     cones = _Cones(dims)
     deg = cones.degree
     e = cones.e
+    dim = n + p + q
+    cut = np.cumsum([0, n, p, q, q])  # x, y, z, s in an iterate row; tau and kappa last
 
-    normb = max(1.0, np.linalg.norm(b)) if p else 1.0
-    normh = max(1.0, np.linalg.norm(h))
-    normc = max(1.0, np.linalg.norm(c))
+    def split(v):
+        return [v[:, cut[i] : cut[i + 1]] for i in range(4)]
 
     # Initial point: least-squares primal/dual solves at W = I, shifted into
     # the cone interior.
-    K, Kreg = _kkt_matrix(A, G, st.reg)
-    lu = _kkt_factor(K, Kreg, np.eye(q), st.reg)
-    sol_p = _kkt_solve(lu, K, np.concatenate([np.zeros(n), b, h]), st.refine)
-    x = sol_p[:n]
-    s = -sol_p[n + p :]
-    viol = _interior_violation(s, cones)
-    if viol > -1e-8:
-        s = s + (1.0 + viol) * e
-    sol_d = _kkt_solve(lu, K, np.concatenate([-c, np.zeros(p), np.zeros(q)]), st.refine)
-    y = sol_d[n : n + p]
-    z = sol_d[n + p :]
-    viol = _interior_violation(z, cones)
-    if viol > -1e-8:
-        z = z + (1.0 + viol) * e
-    tau, kappa = 1.0, 1.0
-    rhs1 = np.concatenate([-c, b, h])
+    K = _kkt_matrix(A, G)
+    lus = _kkt_factor(K, np.broadcast_to(np.eye(q), (k, q, q)), st.reg, n)
+    sol_p = _kkt_solve(lus, K, np.concatenate([np.zeros((k, n)), b, h], axis=1), st.refine)
+    sol_d = _kkt_solve(lus, K, np.concatenate([-c, np.zeros((k, p + q))], axis=1), st.refine)
+    del lus
+    v = np.empty((k, cut[-1] + 2))
+    x0, y0, z0, s0 = split(v)
+    x0[...] = sol_p[:, :n]
+    y0[...] = sol_d[:, n : n + p]
+    for out, u in ((s0, -sol_p[:, n + p :]), (z0, sol_d[:, n + p :])):
+        viol = _interior_violation(u, cones)
+        out[...] = np.where((viol > -1e-8)[:, None], u + (1.0 + viol)[:, None] * e, u)
+    v[:, -2:] = 1.0
+    norms = [_larger(1.0, _norm(vec)) for vec in (b, h, c)]
+    live = _Live(
+        dict(
+            c=c, b=b, h=h, A=A, G=G, K=K,
+            normb=norms[0] if p else np.ones(k), normh=norms[1], normc=norms[2],
+            rhs1=np.concatenate([-c, b, h], axis=1),
+        ),
+        v,
+        list(traces),
+    )
+    del c, b, h, A, G, K, v
+    results = [None] * k
 
-    status = NUMERICAL_FAILURE
-    metrics = {}
-    result_extra = {}
-    iters = 0
-    best = None  # (score, iterate snapshot, metrics) for graceful degradation
-    for it in range(st.max_iter):
-        iters = it
-        rx = A.T @ y + G.T @ z + c * tau
-        ry = A @ x - b * tau
-        rz = G @ x + s - h * tau
-        cx, by, hz = c @ x, b @ y, h @ z
-        rtau = kappa + cx + by + hz
-
-        xt = x / tau
-        st_ = s / tau
-        yt = y / tau
-        zt = z / tau
-        pcost = float(c @ xt)
-        dcost = float(-(b @ yt + h @ zt))
-        gap = float(st_ @ zt)
-        relgap = gap / max(1.0, abs(pcost), abs(dcost))
-        pres = max(
-            (np.linalg.norm(A @ xt - b) / normb) if p else 0.0,
-            np.linalg.norm(G @ xt + st_ - h) / normh,
-        )
-        dres = np.linalg.norm(A.T @ yt + G.T @ zt + c) / normc
-        metrics = dict(
-            pcost=pcost, dcost=dcost, gap=gap, relgap=relgap, pres=pres, dres=dres
-        )
-        score = max(pres, dres, relgap)
-        if best is None or score < best[0]:
-            best = (score, (x.copy(), y.copy(), z.copy(), s.copy(), tau, kappa), dict(metrics))
-        if trace_rows is not None:
-            trace_rows.append(
-                (it, pcost, dcost, gap, pres, dres, float(tau), float(kappa))
+    def finish(rows, status, metrics, it, certificate=None):
+        """Record the rows where the mask ``rows`` holds as done, row r with ``status[r]``."""
+        for r in np.flatnonzero(rows):
+            status_r, v_r, metrics_r = str(status[r]), live.v[r], metrics[r]
+            extra = certificate(r) if certificate else {}
+            if status_r != OPTIMAL and live.best_score[r] <= st.final_tol:
+                # requested tolerances were out of reach but the best iterate
+                # still certifies at the coarser acceptance threshold
+                status_r, v_r, metrics_r = OPTIMAL, live.best[r], live.best_metrics[r]
+                extra = {"best_iterate": True}
+            tau = v_r[-2]
+            x, y, z, s = (v_r[cut[i] : cut[i + 1]] / tau for i in range(4))
+            results[live.ids[r]] = dict(
+                status=status_r,
+                x=x,
+                y=y,
+                z=z,
+                s=s,
+                tau=float(tau),
+                kappa=float(v_r[-1]),
+                iterations=it + 1,
+                **dict(zip(_METRICS, map(float, metrics_r))),
+                **extra,
             )
+        live.drop(rows)
 
-        if pres <= st.feastol and dres <= st.feastol and (
-            gap <= st.abstol or relgap <= st.reltol
-        ):
-            status = OPTIMAL
-            break
+    def newton_step(rx, ry, rz, rtau):
+        """The predictor-corrector step of each live row, and its step length."""
+        d = live.data
+        c, b, h, K = d["c"], d["b"], d["h"], d["K"]
+        _, _, z, s = split(live.v)
+        tau, kappa = live.v[:, -2], live.v[:, -1]
+        kk = len(tau)
 
-        by_hz = by + hz
-        if by_hz < -1e-300:
-            cert = np.linalg.norm(A.T @ y + G.T @ z) / (-by_hz)
-            if cert <= st.infeastol:
-                status = INFEASIBLE
-                scale = -1.0 / by_hz
-                result_extra = {
-                    "cert_y": y * scale,
-                    "cert_z": z * scale,
-                    "cert_residual": float(cert),
-                }
-                break
-        if cx < -1e-300:
-            cert = max(
-                np.linalg.norm(A @ x) if p else 0.0, np.linalg.norm(G @ x + s)
-            ) / (-cx)
-            if cert <= st.infeastol:
-                status = UNBOUNDED
-                scale = -1.0 / cx
-                result_extra = {
-                    "cert_x": x * scale,
-                    "cert_s": s * scale,
-                    "cert_residual": float(cert),
-                }
-                break
-
-        mu = (s @ z + tau * kappa) / (deg + 1)
+        mu = (np.vecdot(s, z) + tau * kappa) / (deg + 1)
         W, lam = _nt_scaling(s, z, cones)
-        W2 = W @ W
-        lu = _kkt_factor(K, Kreg, W2, st.reg)
-        u1 = _kkt_solve(lu, K, rhs1, st.refine)
-        den = (c @ u1[:n] + b @ u1[n : n + p] + h @ u1[n + p :]) - kappa / tau
+        lus = _kkt_factor(K, W, st.reg, n)
+        u1 = _kkt_solve(lus, K, d["rhs1"], st.refine)
+        den = (
+            np.vecdot(c, u1[:, :n]) + np.vecdot(b, u1[:, n : n + p]) + np.vecdot(h, u1[:, n + p :])
+        ) - kappa / tau
 
         def direction(ds_rhs, dtau_rhs, xi):
+            """The step [dx, dy, dz, ds, dtau, dkappa] of each row, in an iterate-shaped stack."""
             quot = _jordan_div(lam, ds_rhs, cones)
-            rhs = np.concatenate([-xi * rx, -xi * ry, -xi * rz - W @ quot])
-            u0 = _kkt_solve(lu, K, rhs, st.refine)
+            nxi = -xi[:, None]
+            rhs = np.concatenate([nxi * rx, nxi * ry, nxi * rz - _mv(W, quot)], axis=1)
+            u0 = _kkt_solve(lus, K, rhs, st.refine)
             num = -xi * rtau - dtau_rhs / tau - (
-                c @ u0[:n] + b @ u0[n : n + p] + h @ u0[n + p :]
+                np.vecdot(c, u0[:, :n]) + np.vecdot(b, u0[:, n : n + p]) + np.vecdot(h, u0[:, n + p :])
             )
             dtau = num / den
-            dxyz = u0 + dtau * u1
-            dz = dxyz[n + p :]
-            ds = W @ (quot - W @ dz)
-            dkappa = (dtau_rhs - kappa * dtau) / tau
-            return dxyz[:n], dxyz[n : n + p], dz, ds, dtau, dkappa
+            out = np.empty((kk, cut[-1] + 2))
+            out[:, :dim] = u0 + dtau[:, None] * u1
+            out[:, dim:-2] = _mv(W, quot - _mv(W, out[:, n + p : dim]))
+            out[:, -2] = dtau
+            out[:, -1] = (dtau_rhs - kappa * dtau) / tau
+            return out
+
+        def step_to_boundary(step):
+            _, _, dz, ds = split(step)
+            dtau, dkappa = step[:, -2], step[:, -1]
+            both = _max_step(np.concatenate([s, z]), np.concatenate([ds, dz]), cones)
+            alpha = _smaller(both[:kk], both[kk:])
+            alpha = _smaller(alpha, _ratio(tau, -dtau, dtau < 0))
+            return _smaller(alpha, _ratio(kappa, -dkappa, dkappa < 0))
 
         lam2 = _jordan_prod(lam, lam, cones)
 
         # predictor
-        dxa, dya, dza, dsa, dtaua, dkappaa = direction(-lam2, -tau * kappa, 1.0)
-        alpha = min(
-            _max_step(s, dsa, cones),
-            _max_step(z, dza, cones),
-            (tau / -dtaua) if dtaua < 0 else np.inf,
-            (kappa / -dkappaa) if dkappaa < 0 else np.inf,
-            1.0,
-        )
+        aff = direction(-lam2, -tau * kappa, np.ones(kk))
+        _, _, dza, dsa = split(aff)
+        dtaua, dkappaa = aff[:, -2], aff[:, -1]
+        alpha = _smaller(step_to_boundary(aff), 1.0)
         mu_aff = (
-            (s + alpha * dsa) @ (z + alpha * dza)
+            np.vecdot(s + alpha[:, None] * dsa, z + alpha[:, None] * dza)
             + (tau + alpha * dtaua) * (kappa + alpha * dkappaa)
         ) / (deg + 1)
-        sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
+        sigma = _smaller(1.0, _larger(0.0, np.float_power(mu_aff / mu, 3.0)))
 
         # corrector
-        corr = _jordan_prod(np.linalg.solve(W, dsa), W @ dza, cones)
-        ds_rhs = -lam2 - corr + sigma * mu * e
+        corr = _jordan_prod(np.linalg.solve(W, dsa[..., None])[..., 0], _mv(W, dza), cones)
+        ds_rhs = -lam2 - corr + (sigma * mu)[:, None] * e
         dtau_rhs = -tau * kappa - dtaua * dkappaa + sigma * mu
-        dx, dy, dz, ds, dtau, dkappa = direction(ds_rhs, dtau_rhs, 1.0 - sigma)
-        amax = min(
-            _max_step(s, ds, cones),
-            _max_step(z, dz, cones),
-            (tau / -dtau) if dtau < 0 else np.inf,
-            (kappa / -dkappa) if dkappa < 0 else np.inf,
+        step = direction(ds_rhs, dtau_rhs, 1.0 - sigma)
+        return step, _smaller(1.0, st.gamma * step_to_boundary(step))
+
+    for it in range(st.max_iter):
+        d = live.data
+        c, b, h, A, G = d["c"], d["b"], d["h"], d["A"], d["G"]
+        AT, GT = A.transpose(0, 2, 1), G.transpose(0, 2, 1)
+        v = live.v
+        x, y, z, s = split(v)
+        tau, kappa = v[:, -2], v[:, -1]
+        aty_gtz = _mv(AT, y) + _mv(GT, z)
+        ax = _mv(A, x)
+        gx_s = _mv(G, x) + s
+        rx = aty_gtz + c * tau[:, None]
+        ry = ax - b * tau[:, None]
+        rz = gx_s - h * tau[:, None]
+        cx, by, hz = np.vecdot(c, x), np.vecdot(b, y), np.vecdot(h, z)
+        rtau = kappa + cx + by + hz
+
+        xt, yt, zt, st_ = split(v / tau[:, None])
+        pcost = np.vecdot(c, xt)
+        dcost = -(np.vecdot(b, yt) + np.vecdot(h, zt))
+        gap = np.vecdot(st_, zt)
+        relgap = gap / _larger(_larger(1.0, abs(pcost)), abs(dcost))
+        pres_eq = _norm(_mv(A, xt) - b) / d["normb"] if p else 0.0
+        pres = _larger(pres_eq, _norm(_mv(G, xt) + st_ - h) / d["normh"])
+        dres = _norm(_mv(AT, yt) + _mv(GT, zt) + c) / d["normc"]
+        del d, c, b, h, A, G, AT, GT, v, xt, yt, zt, st_
+        metrics = np.stack([pcost, dcost, gap, relgap, pres, dres], axis=1)
+        score = _larger(_larger(pres, dres), relgap)
+        better = (score < live.best_score) | (it == 0)
+        if better.any():
+            live.best_score = np.where(better, score, live.best_score)
+            live.best[better] = live.v[better]
+            live.best_metrics[better] = metrics[better]
+        for r, rows in enumerate(live.traces):
+            if rows is not None:
+                rows.append((it, *map(float, metrics[r, [0, 1, 2, 4, 5]]), float(tau[r]), float(kappa[r])))
+
+        optimal = (pres <= st.feastol) & (dres <= st.feastol) & (
+            (gap <= st.abstol) | (relgap <= st.reltol)
         )
-        alpha = min(1.0, st.gamma * amax)
-        if not np.isfinite(alpha) or alpha <= 1e-13:
-            break
-        x = x + alpha * dx
-        y = y + alpha * dy
-        z = z + alpha * dz
-        s = s + alpha * ds
-        tau += alpha * dtau
-        kappa += alpha * dkappa
+        by_hz = by + hz
+        maybe = ~optimal & (by_hz < -1e-300)
+        cert_inf = _ratio(_norm(aty_gtz), -by_hz, maybe)
+        infeasible = maybe & (cert_inf <= st.infeastol)
+        maybe = ~(optimal | infeasible) & (cx < -1e-300)
+        cert_unb = _ratio(_larger(_norm(ax) if p else 0.0, _norm(gx_s)), -cx, maybe)
+        unbounded = maybe & (cert_unb <= st.infeastol)
+        done = optimal | infeasible | unbounded
+        if done.any():
+            status = np.where(optimal, OPTIMAL, np.where(infeasible, INFEASIBLE, UNBOUNDED))
 
-    if status != OPTIMAL and best is not None and best[0] <= st.final_tol:
-        # requested tolerances were out of reach but the best iterate still
-        # certifies at the coarser acceptance threshold
-        status = OPTIMAL
-        x, y, z, s, tau, kappa = best[1]
-        metrics = best[2]
-        result_extra = {"best_iterate": True}
+            def certificate(r):
+                if infeasible[r]:
+                    scale = -1.0 / by_hz[r]
+                    return dict(cert_y=y[r] * scale, cert_z=z[r] * scale, cert_residual=float(cert_inf[r]))
+                if unbounded[r]:
+                    scale = -1.0 / cx[r]
+                    return dict(cert_x=x[r] * scale, cert_s=s[r] * scale, cert_residual=float(cert_unb[r]))
+                return {}
 
-    return dict(
-        status=status,
-        x=x / tau,
-        y=y / tau,
-        z=z / tau,
-        s=s / tau,
-        tau=float(tau),
-        kappa=float(kappa),
-        iterations=iters + 1,
-        **metrics,
-        **result_extra,
-    )
+            finish(done, status, metrics, it, certificate)
+            if not len(live.ids):
+                break
+            keep = ~done
+            rx, ry, rz, rtau, metrics = rx[keep], ry[keep], rz[keep], rtau[keep], metrics[keep]
+        step, alpha = newton_step(rx, ry, rz, rtau)
+        stuck = ~np.isfinite(alpha) | (alpha <= 1e-13)
+        if stuck.any():
+            finish(stuck, [NUMERICAL_FAILURE] * len(stuck), metrics, it)
+            if not len(live.ids):
+                break
+            metrics, alpha, step = metrics[~stuck], alpha[~stuck], step[~stuck]
+        live.v = live.v + alpha[:, None] * step
+    else:
+        finish(np.ones(len(live.ids), bool), [NUMERICAL_FAILURE] * len(live.ids), metrics, it)
+    return results
 
 
 # --- Ruiz equilibration ------------------------------------------------------
@@ -659,6 +796,11 @@ class _Presolved:
         self._substitute()
         self.free_vars = [v for v in self.ir.variables if v not in self.fixed]
 
+    def forget_rows(self):
+        """Keep of each row and cone only its index, all ``_reconstruct_duals`` reads after ``_assemble``."""
+        for rows in (self.eqs, self.ineqs, self.cones):
+            rows[:] = [{"idx": row["idx"]} for row in rows]
+
     def _collapse_cone(self, cone, head):
         self._fix(head, 0.0)
         self.cone_zero_vars.add(head)
@@ -804,13 +946,31 @@ def _final_metrics(ir, primal):
     return max(worst_eq, worst_in, worst_cone, 0.0)
 
 
-def solve_socp(ir, fixings=None, settings=None, trace=None):
-    """Solve the continuous program (binaries fixed via ``fixings``).
+class _Prepared:
+    """One request, presolved, assembled and equilibrated, ready for a batch."""
 
-    Returns a ConicSolution with full-variable primal values, per-row duals,
-    residuals measured on the original (unscaled) data, and the duality gap.
-    """
-    st = settings or SolverSettings()
+    def __init__(self, ir, pre, st):
+        self.ir, self.pre, self.st = ir, pre, st
+        self.order, self.c, self.A, self.b, self.G, self.h, self.dims = _assemble(pre)
+        pre.forget_rows()  # a batch holds many requests at once
+        self.rA, self.rG, self.d = _ruiz_equilibrate(self.A, self.G, self.dims, st.ruiz_iter)
+
+    @property
+    def key(self):
+        """Requests with equal keys can share a batch."""
+        l, qs = self.dims
+        return len(self.c), len(self.b), l, tuple(qs), self.st
+
+    def scaled(self):
+        """The equilibrated (c, A, b, G, h) the interior-point method solves."""
+        rA, rG, d = self.rA, self.rG, self.d
+        As = rA[:, None] * self.A * d[None, :] if len(self.b) else self.A
+        Gs = rG[:, None] * self.G * d[None, :]
+        return d * self.c, As, rA * self.b, Gs, rG * self.h
+
+
+def _prepare(ir, fixings, st):
+    """A _Prepared request, or the ConicSolution when presolve settles it."""
     try:
         pre = _Presolved(ir, fixings)
     except _Infeasible as inf:
@@ -841,24 +1001,14 @@ def solve_socp(ir, fixings=None, settings=None, trace=None):
             iterations=0,
             info={"presolve": "fully determined"},
         )
+    return _Prepared(ir, pre, st)
 
-    order, c, A, b, G, h, dims = _assemble(pre)
 
-    rA, rG, d = _ruiz_equilibrate(A, G, dims, st.ruiz_iter)
-    As = rA[:, None] * A * d[None, :] if len(b) else A
-    bs = rA * b
-    Gs = rG[:, None] * G * d[None, :]
-    hs = rG * h
-    cs = d * c
-
-    trace_rows = [] if trace is not None else None
-    raw = solve_conelp(cs, As, bs, Gs, hs, dims, st, trace_rows)
-    if trace is not None:
-        with open(trace, "w") as fh:
-            fh.write("iter,pcost,dcost,gap,pres,dres,tau,kappa\n")
-            for row in trace_rows:
-                fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
-
+def _conic_solution(req, raw):
+    """The ConicSolution of a request from its raw interior-point result."""
+    ir, pre, st = req.ir, req.pre, req.st
+    A, b, G, h, c = req.A, req.b, req.G, req.h, req.c
+    rA, rG, d = req.rA, req.rG, req.d
     if raw["status"] == INFEASIBLE:
         cert_y = raw["cert_y"] * rA if len(b) else raw["cert_y"]
         cert_z = raw["cert_z"] * rG
@@ -913,13 +1063,13 @@ def solve_socp(ir, fixings=None, settings=None, trace=None):
         )
 
     primal = dict(pre.fixed)
-    for v, val in zip(order, x):
+    for v, val in zip(req.order, x):
         primal[v] = float(val)
-    l = dims[0]
+    l = req.dims[0]
     z_lin = z[:l]
     z_cones = []
     r = l
-    for qd in dims[1]:
+    for qd in req.dims[1]:
         z_cones.append(z[r : r + qd])
         r += qd
     duals = _reconstruct_duals(pre, y, z_lin, z_cones)
@@ -939,6 +1089,79 @@ def solve_socp(ir, fixings=None, settings=None, trace=None):
             "full_violation": _final_metrics(ir, primal),
         },
     )
+
+
+def _batch_size(n, p, q):
+    """Instances per batch: as many as keep their KKT, LU and W arrays in
+    _BATCH_BYTES, and at most _MAX_BATCH.
+
+    Each instance counts its KKT matrix, its LU factors, its W and one more
+    KKT-sized array: these arrays are freed and allocated anew every
+    iteration, so the resident size of the process peaks above what is live
+    at any one moment.
+    """
+    dim = n + p + q
+    return max(1, min(_MAX_BATCH, _BATCH_BYTES // (8 * (3 * dim * dim + q * q))))
+
+
+def _solve_requests(requests, traces):
+    """solve_socp_many, with per request None or a list for its iteration rows."""
+    out = [None] * len(requests)
+    groups = {}
+    for i, (ir, fixings, settings) in enumerate(requests):
+        try:
+            req = _prepare(ir, fixings, settings or SolverSettings())
+        except MopschedError as exc:
+            out[i] = exc
+            continue
+        if isinstance(req, ConicSolution):
+            out[i] = req
+        else:
+            groups.setdefault(req.key, []).append((i, req))
+    for (n, p, l, qs, st), members in groups.items():
+        size = _batch_size(n, p, l + sum(qs))
+        for start in range(0, len(members), size):
+            batch = members[start : start + size]
+            stacks = [np.stack(arrays) for arrays in zip(*(req.scaled() for _, req in batch))]
+            try:
+                raws = _solve_conelp_batch(*stacks, (l, list(qs)), st, [traces[i] for i, _ in batch])
+            except MopschedError as exc:
+                raws = [exc] * len(batch)
+            for (i, req), raw in zip(batch, raws):
+                out[i] = raw if isinstance(raw, MopschedError) else _conic_solution(req, raw)
+    return out
+
+
+def solve_socp_many(requests):
+    """Solve continuous programs in lockstep batches, each exactly as ``solve_socp`` would.
+
+    ``requests`` is a sequence of (ir, fixings, settings), the arguments of
+    ``solve_socp``.  Requests whose presolved programs have equal dimensions
+    and settings share interior-point batches of at most ``_batch_size``
+    instances.  Returns one entry per request, in order: its ConicSolution,
+    or the MopschedError that ``solve_socp`` would raise for it.
+    """
+    return _solve_requests(requests, [None] * len(requests))
+
+
+def solve_socp(ir, fixings=None, settings=None, trace=None):
+    """Solve the continuous program (binaries fixed via ``fixings``).
+
+    Returns a ConicSolution with full-variable primal values, per-row duals,
+    residuals measured on the original (unscaled) data, and the duality gap.
+    ``trace`` names a CSV file for the interior-point iterations, written
+    when the program reaches the interior-point method.
+    """
+    trace_rows = [] if trace is not None else None
+    (sol,) = _solve_requests([(ir, fixings, settings)], [trace_rows])
+    if trace_rows:
+        with open(trace, "w") as fh:
+            fh.write("iter,pcost,dcost,gap,pres,dres,tau,kappa\n")
+            for row in trace_rows:
+                fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+    if isinstance(sol, MopschedError):
+        raise sol
+    return sol
 
 
 def dual_objective(sol):

@@ -109,25 +109,60 @@ def random_pcc_injection(rng, m, s_total):
 
 
 def fail_solve_when(monkeypatch, when, exc):
-    """Make ``solve_misocp`` raise ``exc`` for the timesteps where ``when(t, ir)`` holds.
+    """Make the solve of each timestep where ``when(t, ir)`` holds raise ``exc``.
 
-    The timestep is read where the horizon builds its input, so the rule holds
-    in whichever process solves that timestep.
+    The failure is raised from the timestep's branch-and-bound search, the
+    per-timestep entry point of ``mip.solve_misocp_many``.  The timestep is
+    read where the horizon builds its input and program, so the rule holds in
+    whichever process solves that timestep.
     """
     from mopsched import mission
 
     current = []
+    timestep_of = {}  # id of a built program -> its timestep
     timestep_input = mission._timestep_input
-    solve = mission._mip.solve_misocp
+    build = mission.build_timestep_program
+    search = mission._mip._branch_and_bound
 
     def recording(grid, horizon, t, p_der):
         current.append(t)
         return timestep_input(grid, horizon, t, p_der)
 
+    def building(grid, conv, ts):
+        ir = build(grid, conv, ts)
+        timestep_of[id(ir)] = current[-1]
+        return ir
+
     def failing(ir, *args, **kwargs):
-        if when(current[-1], ir):
+        t = timestep_of.get(id(ir))  # None for a program the horizon did not build
+        if t is not None and when(t, ir):
             raise exc
-        return solve(ir, *args, **kwargs)
+        return (yield from search(ir, *args, **kwargs))
 
     monkeypatch.setattr(mission, "_timestep_input", recording)
-    monkeypatch.setattr(mission._mip, "solve_misocp", failing)
+    monkeypatch.setattr(mission, "build_timestep_program", building)
+    monkeypatch.setattr(mission._mip, "_branch_and_bound", failing)
+
+
+def same_value(a, b):
+    """``a`` and ``b`` are equal to the last bit: numbers by ==, NaN equal to NaN, arrays elementwise."""
+    if isinstance(a, dict) or isinstance(b, dict):
+        return type(a) is type(b) and a.keys() == b.keys() and all(same_value(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)) or isinstance(b, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same_value, a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b, equal_nan=True)
+    if isinstance(a, float) and isinstance(b, float) and np.isnan(a) and np.isnan(b):
+        return True
+    return a == b
+
+
+def assert_same_solution(got, want):
+    """Two ConicSolutions, or two MipSolutions, agree in every field to the last bit."""
+    assert type(got) is type(want)
+    for name, value in vars(want).items():
+        other = getattr(got, name)
+        if name == "incumbent" and value is not None:
+            assert_same_solution(other, value)
+        else:
+            assert same_value(other, value), name

@@ -149,6 +149,15 @@ BAD_COUNTS = {
     "seed_flag_negative": (lambda cfg: None, ["--seed", "-1"], "seed"),
 }
 
+# config key -> edit setting it in the config document
+NUMBER_KEYS = {
+    "s_total_kva": lambda cfg, v: cfg["converter"].update(s_total_kva=v),
+    "loss_coeff": lambda cfg, v: cfg["converter"].update(loss_coeff=v),
+    "v_min_pu": lambda cfg, v: cfg["voltage"].update(v_min_pu=v),
+    "v_max_pu": lambda cfg, v: cfg["voltage"].update(v_max_pu=v),
+    "timestep_hours": lambda cfg, v: cfg.update(timestep_hours=v),
+}
+
 
 def _write(path, data):
     path.write_bytes(data)
@@ -341,6 +350,41 @@ class TestRun:
         assert result.exit_code == 2, result.output
         assert f"{name} must be a whole number" in result.output
         assert not Path(cfg["output_dir"]).exists()
+
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    @pytest.mark.parametrize("key", sorted(NUMBER_KEYS))
+    def test_number_not_real_exits_2(self, small_config, key, value):
+        path, cfg = small_config
+        NUMBER_KEYS[key](cfg, value)
+        path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert f"{key} must be a number, got {value!r}" in result.output
+        assert not Path(cfg["output_dir"]).exists()
+
+    def test_whole_and_zero_numbers_load(self, small_config):
+        _, cfg = small_config
+        NUMBER_KEYS["s_total_kva"](cfg, 400)
+        NUMBER_KEYS["loss_coeff"](cfg, 0)
+        loaded = cli.load_config(cfg)
+        assert (loaded.s_total_kva, loaded.loss_coeff) == (400.0, 0.0)
+        assert (loaded.v_min, loaded.v_max, loaded.timestep_hours) == (0.95, 1.05, 0.5)
+
+    def test_huge_synthetic_horizon_exits_2(self, small_config, monkeypatch):
+        path, cfg = small_config
+        cfg["synthetic"] = {"days": 10**7, "steps_per_day": 48}
+        path.write_text(json.dumps(cfg))
+
+        def drawn(*args):
+            raise AssertionError("profiles drawn for a refused horizon")
+
+        monkeypatch.setattr(cli._profiles, "synthetic_profiles", drawn)
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "exceeds 1,000,000 timesteps" in result.output
+        assert not Path(cfg["output_dir"]).exists()
+        # an annual horizon at one-minute steps stays within the limit
+        cli.load_config(dict(cfg, synthetic={"days": 365, "steps_per_day": 1440}))
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_bad_input_exits_2(self, small_config, tmp_path, case):

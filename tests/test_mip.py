@@ -8,11 +8,11 @@ import pytest
 from mopsched import mip as M
 from mopsched import oracle as O
 from mopsched import solver as S
-from mopsched.errors import ValidationError
+from mopsched.errors import MopschedError, ValidationError
 from mopsched.mission import electrical_cardinality
 from mopsched.program import UNCONSTRAINED, build_timestep_program
 
-from conftest import instance5, instance33
+from conftest import assert_same_solution, instance5, instance33
 
 
 class TestBranchRule:
@@ -157,3 +157,28 @@ class TestSolveMisocp:
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             M.BnBConfig(rel_gap=0.0)
+
+
+class TestSolveMisocpMany:
+    def test_equals_per_instance(self, grid5, grid33, conv33, bg33):
+        irs = [instance33(grid33, conv33, bg33, cardinality=n) for n in (1, 2, 3)]
+        irs += [
+            instance33(grid33, conv33, bg33),
+            instance5(grid5, cardinality=1),
+            instance5(grid5, cardinality=0, p_der=0.1),  # infeasible
+            instance33(grid33, conv33, bg33, cardinality=2, v=(1.0, 1.005)),  # infeasible
+            replace(instance5(grid5, cardinality=1), cardinality={}),  # raises
+            instance5(grid5, cardinality=2, p_der=0.12),
+        ]
+        cfg = M.BnBConfig(rel_gap=1e-6, abs_gap=1e-7)
+        many = M.solve_misocp_many(irs, cfg)
+        assert len(many) == len(irs)
+        for ir, got in zip(irs, many):
+            try:
+                want = M.solve_misocp(ir, cfg)
+            except MopschedError as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+                continue
+            assert_same_solution(got, want)
+        assert isinstance(many[7], ValidationError)
+        assert [many[i].status for i in (5, 6)] == ["infeasible", "infeasible"]

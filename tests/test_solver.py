@@ -4,7 +4,8 @@ The engine is validated three ways: algebraic identities of the NT scaling
 and Jordan operations on random interior points, external behavior on tiny
 closed-form instances, and agreement with the dense grid-search oracle on
 the 5-bus fixture.  The direct LAPACK KKT path is checked bit for bit
-against scipy's lu_factor/lu_solve wrappers.
+against scipy's lu_factor/lu_solve wrappers, and batched solves against
+one-at-a-time solves.
 """
 
 import math
@@ -17,10 +18,10 @@ from hypothesis import given, settings as hsettings, strategies as st
 from mopsched import mip as M
 from mopsched import oracle as O
 from mopsched import solver as S
-from mopsched.errors import ValidationError
+from mopsched.errors import MopschedError, ValidationError
 from mopsched.program import AffExpr, Cone, ConicProgramIR, Row
 
-from conftest import instance5, instance33
+from conftest import BG5, assert_same_solution, instance5, instance33
 
 
 def make_min_norm_ir():
@@ -69,7 +70,7 @@ class TestConeAlgebra:
         n = min(len(s_tail), len(z_tail))
         s, z = s_tail[:n], z_tail[:n]
         cones = S._Cones((0, [n]))
-        W, lam = S._nt_scaling(s, z, cones)
+        (W,), (lam,) = S._nt_scaling(s[None], z[None], cones)
         assert np.allclose(W, W.T, atol=1e-10)
         assert np.allclose(W @ z, lam, atol=1e-8 * max(1, np.abs(lam).max()))
         assert np.allclose(
@@ -82,17 +83,17 @@ class TestConeAlgebra:
         lam = s_tail[:3]
         dv = np.array(d[:3])
         cones = S._Cones((0, [3]))
-        u = S._jordan_div(lam, dv, cones)
-        assert np.allclose(S._jordan_prod(lam, u, cones), dv, atol=1e-8)
+        u = S._jordan_div(lam[None], dv[None], cones)
+        assert np.allclose(S._jordan_prod(lam[None], u, cones)[0], dv, atol=1e-8)
 
     def test_orthant_ops(self):
         cones = S._Cones((3, []))
         s = np.array([1.0, 2.0, 4.0])
         z = np.array([4.0, 2.0, 1.0])
-        W, lam = S._nt_scaling(s, z, cones)
+        (W,), (lam,) = S._nt_scaling(s[None], z[None], cones)
         assert np.allclose(np.diag(W), np.sqrt(s / z))
         assert np.allclose(lam, np.sqrt(s * z))
-        step = S._max_step(s, np.array([-1.0, -4.0, 1.0]), cones)
+        (step,) = S._max_step(s[None], np.array([[-1.0, -4.0, 1.0]]), cones)
         assert step == pytest.approx(0.5)
 
     def test_max_step_hits_soc_boundary(self):
@@ -102,7 +103,7 @@ class TestConeAlgebra:
             tail = rng.standard_normal(3)
             u = np.concatenate([[np.linalg.norm(tail) + rng.uniform(0.1, 2)], tail])
             du = rng.standard_normal(4)
-            alpha = S._max_step(u, du, cones)
+            (alpha,) = S._max_step(u[None], du[None], cones)
             if np.isfinite(alpha):
                 v = u + alpha * du
                 res = v[0] ** 2 - v[1:] @ v[1:]
@@ -313,41 +314,42 @@ def wrapper_kkt_solve(A, G, W2, reg, rhs, refine):
 
 
 def random_kkt_data(rng, n, p, q, count):
+    """A, G and ``count`` symmetric positive definite scalings W."""
     A = rng.standard_normal((p, n))
     G = rng.standard_normal((q, n))
-    W2s = []
+    Ws = []
     for _ in range(count):
         B = rng.standard_normal((q, q))
-        W2s.append(B @ B.T + q * np.eye(q))
-    return A, G, W2s
+        Ws.append(B @ B.T + q * np.eye(q))
+    return A, G, Ws
 
 
 class TestKktLapack:
     """getrf/getrs called directly give the scipy wrappers' bits and guards."""
 
-    def assert_bitwise_equal_to_wrappers(self, A, G, W2s, rhss, reg=1e-11):
-        # one KKT matrix pair serves every scaling in turn, as in a solve
-        K, Kreg = S._kkt_matrix(A, G, reg)
-        for W2 in W2s:
-            lu = S._kkt_factor(K, Kreg, W2, reg)
+    def assert_bitwise_equal_to_wrappers(self, A, G, Ws, rhss, reg=1e-11):
+        # one KKT matrix serves every scaling in turn, as in a solve
+        K = S._kkt_matrix(A[None], G[None])
+        for W in Ws:
+            lu = S._kkt_factor(K, W[None], reg, A.shape[1])
             for rhs in rhss:
                 for refine in (0, 2):
-                    got = S._kkt_solve(lu, K, rhs, refine)
-                    want = wrapper_kkt_solve(A, G, W2, reg, rhs, refine)
+                    (got,) = S._kkt_solve(lu, K, rhs[None], refine)
+                    want = wrapper_kkt_solve(A, G, W @ W, reg, rhs, refine)
                     assert np.array_equal(got, want)
 
     def test_ieee33_n2_root(self, grid33, conv33, bg33, monkeypatch):
         ir = M._relaxed_program(instance33(grid33, conv33, bg33, cardinality=2), {})
-        seen = {"W2": []}
+        seen = {"W": []}
         kkt_matrix, kkt_factor = S._kkt_matrix, S._kkt_factor
 
-        def recording_matrix(A, G, reg):
-            seen.update(A=A.copy(), G=G.copy())
-            return kkt_matrix(A, G, reg)
+        def recording_matrix(A, G):
+            seen.update(A=A[0].copy(), G=G[0].copy())
+            return kkt_matrix(A, G)
 
-        def recording_factor(K, Kreg, W2, reg):
-            seen["W2"].append(W2.copy())
-            return kkt_factor(K, Kreg, W2, reg)
+        def recording_factor(K, W, reg, n):
+            seen["W"].append(W[0].copy())
+            return kkt_factor(K, W, reg, n)
 
         monkeypatch.setattr(S, "_kkt_matrix", recording_matrix)
         monkeypatch.setattr(S, "_kkt_factor", recording_factor)
@@ -355,47 +357,47 @@ class TestKktLapack:
         monkeypatch.undo()
         A, G = seen["A"], seen["G"]
         assert A.shape[1] + A.shape[0] + G.shape[0] == 136
-        assert len(seen["W2"]) > 5
+        assert len(seen["W"]) > 5
         rng = np.random.default_rng(3)
         rhss = [rng.standard_normal(136) for _ in range(2)]
-        self.assert_bitwise_equal_to_wrappers(A, G, seen["W2"], rhss)
+        self.assert_bitwise_equal_to_wrappers(A, G, seen["W"], rhss)
 
     @pytest.mark.parametrize("n, p, q", [(6, 0, 9), (7, 3, 12), (26, 10, 100)])
     def test_random_well_conditioned(self, n, p, q):
         rng = np.random.default_rng(n + p + q)
-        A, G, W2s = random_kkt_data(rng, n, p, q, 3)
+        A, G, Ws = random_kkt_data(rng, n, p, q, 3)
         rhss = [rng.standard_normal(n + p + q) for _ in range(3)]
-        self.assert_bitwise_equal_to_wrappers(A, G, W2s, rhss)
+        self.assert_bitwise_equal_to_wrappers(A, G, Ws, rhss)
 
     def test_nan_in_matrix_rejected(self):
         rng = np.random.default_rng(1)
-        A, G, (W2,) = random_kkt_data(rng, 4, 2, 5, 1)
+        A, G, (W,) = random_kkt_data(rng, 4, 2, 5, 1)
         bad = G.copy()
         bad[2, 1] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
-            S._kkt_matrix(A, bad, 1e-11)
-        K, Kreg = S._kkt_matrix(A, G, 1e-11)
-        W2[3, 3] = np.nan
+            S._kkt_matrix(A[None], bad[None])
+        K = S._kkt_matrix(A[None], G[None])
+        W[3, 3] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
-            S._kkt_factor(K, Kreg, W2, 1e-11)
+            S._kkt_factor(K, W[None], 1e-11, 4)
 
     def test_nan_in_rhs_rejected(self):
         rng = np.random.default_rng(2)
-        A, G, (W2,) = random_kkt_data(rng, 4, 2, 5, 1)
-        K, Kreg = S._kkt_matrix(A, G, 1e-11)
-        lu = S._kkt_factor(K, Kreg, W2, 1e-11)
+        A, G, (W,) = random_kkt_data(rng, 4, 2, 5, 1)
+        K = S._kkt_matrix(A[None], G[None])
+        lu = S._kkt_factor(K, W[None], 1e-11, 4)
         rhs = rng.standard_normal(11)
         rhs[7] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
-            S._kkt_solve(lu, K, rhs, 2)
+            S._kkt_solve(lu, K, rhs[None], 2)
 
     def test_singular_matrix_warns(self):
         # x[1] appears in no row and reg = 0: its KKT row and column are zero
         A = np.zeros((0, 2))
         G = np.array([[1.0, 0.0], [2.0, 0.0]])
-        K, Kreg = S._kkt_matrix(A, G, 0.0)
+        K = S._kkt_matrix(A[None], G[None])
         with pytest.warns(scipy.linalg.LinAlgWarning, match="exactly zero"):
-            S._kkt_factor(K, Kreg, np.eye(2), 0.0)
+            S._kkt_factor(K, np.eye(2)[None], 0.0, 2)
 
 
 class TestSolvesShareNoState:
@@ -414,3 +416,82 @@ class TestSolvesShareNoState:
                 assert sol.iterations == one.iterations
                 for v in ir.variables:
                     assert sol.primal[v] == one.primal[v]
+
+
+def fully_determined_ir():
+    """x = 1: presolve leaves no free variable."""
+    return ConicProgramIR(
+        variables=("x",),
+        equalities=(Row({"x": 1.0}, 1.0),),
+        inequalities=(),
+        soc_cones=(),
+        binaries=(),
+        objective=AffExpr({"x": 1.0}),
+    ).validate()
+
+
+class TestSolveSocpMany:
+    """A batched solve gives every request the bits of its own ``solve_socp``."""
+
+    @staticmethod
+    def requests(grid5, grid33, conv33, bg33):
+        n1 = instance5(grid5, cardinality=1)
+        z1, z2 = n1.binaries
+        der0 = instance5(grid5, cardinality=0, p_der=0.1)
+        reqs = [(instance5(grid5, bg={b: 0.8 * s for b, s in BG5.items()}), {}, None)]
+        # equal dimensions, each load scaled: one group
+        reqs += [(instance5(grid5, bg={b: f * s for b, s in BG5.items()}), {}, None) for f in (0.4, 0.6, 1.0)]
+        reqs += [
+            (instance5(grid5), {}, S.SolverSettings(refine=4, ruiz_iter=8, reg=1e-9)),
+            (M._relaxed_program(n1, {}), {}, None),
+            (M._relaxed_program(n1, {z1: 0.0}), {}, None),
+            (n1, {z1: 1.0, z2: 0.0}, None),
+            (n1, {z1: 0.0, z2: 1.0}, None),
+            (M._relaxed_program(instance33(grid33, conv33, bg33, cardinality=2), {}), {}, None),
+            (instance33(grid33, conv33, bg33), {}, None),
+            # infeasible in presolve and in the interior-point method
+            (der0, {z: 0.0 for z in der0.binaries}, None),
+            (instance33(grid33, conv33, bg33, v=(1.0, 1.005)), {}, None),
+            (n1, {z1: 0.0, z2: 0.0}, None),
+            # fully determined by presolve
+            (fully_determined_ir(), {}, None),
+            # out of iterations: a numerical failure
+            (instance5(grid5), {}, S.SolverSettings(max_iter=3)),
+            (instance33(grid33, conv33, bg33), {}, S.SolverSettings(max_iter=4)),
+            # fixings that miss a binary: solve_socp raises
+            (n1, {z1: 1.0}, None),
+        ]
+        return reqs
+
+    @pytest.mark.parametrize("budget", [S._BATCH_BYTES, 100_000, 1])
+    def test_equals_one_at_a_time(self, grid5, grid33, conv33, bg33, monkeypatch, budget):
+        reqs = self.requests(grid5, grid33, conv33, bg33)
+        singles = []
+        for req in reqs:
+            try:
+                singles.append(S.solve_socp(*req))
+            except MopschedError as exc:
+                singles.append(exc)
+        batches = []
+        batch = S._solve_conelp_batch
+
+        def recording(c, *args):
+            batches.append(len(c))
+            return batch(c, *args)
+
+        monkeypatch.setattr(S, "_BATCH_BYTES", budget)
+        monkeypatch.setattr(S, "_solve_conelp_batch", recording)
+        many = S.solve_socp_many(reqs)
+        statuses = set()
+        for got, want in zip(many, singles):
+            if isinstance(want, MopschedError):
+                assert type(got) is type(want) and str(got) == str(want)
+            else:
+                assert_same_solution(got, want)
+                statuses.add((want.status, want.info.get("presolve")))
+        assert {(S.INFEASIBLE, None), (S.NUMERICAL_FAILURE, None)} <= statuses
+        assert (S.OPTIMAL, "fully determined") in statuses
+        assert any(s == S.INFEASIBLE and p for s, p in statuses)
+        # the 5-bus group of four shares one batch, or the budget splits it
+        # into batches of two (KKT 39, W 21: 40,032 bytes an instance) or of one
+        assert max(batches) == {S._BATCH_BYTES: 4, 100_000: 2, 1: 1}[budget]

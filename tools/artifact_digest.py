@@ -2,10 +2,11 @@
 
 Usage (from the repository root):
 
-    python3 tools/artifact_digest.py
+    python3 tools/artifact_digest.py [WORKLOAD ...]
 
-Runs each config seed that ``perfbench/reference.json`` records (160 horizons
-over the three benchmark workloads), with each run-config document built by
+Runs each config seed that ``perfbench/reference.json`` records for the named
+workloads, or for all three benchmark workloads (160 horizons) when none is
+named, with each run-config document built by
 ``perfbench/workloads.config_docs`` and run through ``cli.run``, as the
 benchmark runs it.  Prints one line per horizon, ``<workload> <config seed>
 <sha256>``, the SHA-256 being taken over the horizon's output files in sorted
@@ -48,11 +49,14 @@ def directory_digest(outdir):
     return h.hexdigest()
 
 
-def main():
+def main(names):
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    unknown = sorted(set(names) - set(reference))
+    if unknown:
+        sys.exit(f"unknown workloads {unknown}; known: {sorted(reference)}")
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(reference):
+        for name in sorted(names or reference):
             for seed in sorted(reference[name], key=int):
                 # the reference is keyed by config seed; a run's first
                 # document carries the workload seed as its config seed
@@ -65,4 +69,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -31,7 +31,7 @@ from . import profiles as _profiles
 from . import solver as _solver
 from . import svgplot
 from .errors import MopschedError, ValidationError, count_setting, real_number
-from .program import UNCONSTRAINED, ConverterSpec, build_timestep_program, serialize_ir
+from .program import UNCONSTRAINED, ConverterSpec, serialize_ir
 
 _FIXTURE_NETWORKS = {"ieee33": "network_ieee33.json", "5bus": "network_5bus.json"}
 _FIXTURE_CONFIGS = {"ieee33": "config_ieee33.json", "5bus": "config_5bus.json"}
@@ -203,9 +203,11 @@ def _build_setup(cfg):
         if bid not in net.load_order:
             raise ValidationError(f"monitored bus {bid!r} is not a non-slack bus of the network")
     m = len(cfg.pcc_buses)
-    for entry in cfg.cardinality:
+    for i, entry in enumerate(cfg.cardinality):
         if entry != UNCONSTRAINED and (type(entry) is not int or not 0 <= entry <= m):
             raise ValidationError(f"cardinality entry {entry!r} not in [0, {m}] or 'unconstrained'")
+        if entry in cfg.cardinality[:i]:
+            raise ValidationError(f"cardinality level {entry!r} is listed more than once")
     lg = _grid.linearize(net, cfg.pcc_buses)
     conv = ConverterSpec(
         pcc_buses=tuple(cfg.pcc_buses),
@@ -250,12 +252,6 @@ def _bnb_config(cfg):
 
 def _solver_settings(cfg):
     return _settings(_solver.SolverSettings, "solver", cfg.solver)
-
-
-def _timestep_program(lg, conv, hz, t):
-    """Timestep ``t``'s program as the horizon run builds it, DER output included."""
-    ts = _mission._timestep_input(lg, hz, t, _mission._der_output(lg, conv, hz, t))
-    return build_timestep_program(lg, conv, ts)
 
 
 def _label(entry):
@@ -328,15 +324,13 @@ def run(cfg, dump_ir=False, solver_trace=None, mip_trace=None):
     if solver_trace or mip_trace or dump_ir:
         # representative timestep-0 artifacts
         hz0 = horizon(cfg.cardinality[0])
-        ir0 = _timestep_program(lg, conv, hz0, 0)
+        ir0 = _mission._timestep_program(lg, conv, hz0, 0)
         if dump_ir:
             for entry in cfg.cardinality:
-                ir = _timestep_program(lg, conv, horizon(entry), 0)
+                ir = _mission._timestep_program(lg, conv, horizon(entry), 0)
                 (outdir / f"ir_{_label(entry)}.json").write_text(serialize_ir(ir) + "\n")
         if solver_trace:
-            _solver.solve_socp(
-                _mip._relaxed_program(ir0, {}), {}, settings, trace=solver_trace
-            )
+            _solver.solve_socp(ir0, {}, settings, trace=solver_trace)
         if mip_trace:
             _mip.solve_misocp(ir0, bnb, settings, trace=mip_trace)
 
@@ -423,7 +417,7 @@ def _oracle_checks(cfg, lg, conv, horizon, rng):
     for trial in range(3):
         t = int(rng.integers(0, hz.tau))
         n = int(rng.integers(0, m + 1))
-        ir = _timestep_program(lg, conv, replace(hz, cardinality_limit=n), t)
+        ir = _mission._timestep_program(lg, conv, replace(hz, cardinality_limit=n), t)
         ms = _mip.solve_misocp(ir, bnb, settings)
         oc = _oracle.enumerate_supports(ir, n, settings)
         if ms.status == "infeasible" or oc.status == "infeasible":
@@ -437,7 +431,7 @@ def _oracle_checks(cfg, lg, conv, horizon, rng):
             detail = f"t={t} n={n}: |mip - enum| = {diff:.2e}"
         checks.append((f"oracle_equivalence_{trial}", ok, detail))
 
-    ir = _timestep_program(lg, conv, hz, 0)
+    ir = _mission._timestep_program(lg, conv, hz, 0)
     sol = _solver.solve_socp(ir, {}, settings)
     if sol.status == _solver.OPTIMAL:
         tight = _solver.check_relaxation_tightness(ir, sol)

@@ -1,19 +1,22 @@
 """Branch-and-bound over the binary support indicators, wrapping the SOCP engine.
 
-Nodes relax unfixed binaries to [0, 1]; partial fixings are substituted into
-the big-M and cardinality rows.  Best-bound node selection with
-most-fractional branching (lowest index breaks ties).  Because the binaries
-are cost-free support indicators, any node relaxation whose active-leg count
-already satisfies the cardinality budget is integer-repairable on the spot,
-which keeps trees tiny.  The final incumbent is re-solved with its binaries
-hard-fixed, so big-M leakage cannot survive into the returned solution.
+A node is a set of binary fixings on the timestep's own program: the solver
+substitutes the fixed binaries and relaxes the others to [0, 1].  Best-bound
+node selection with most-fractional branching (lowest index breaks ties).
+Because the binaries are cost-free support indicators, any node relaxation
+whose active-leg count already satisfies the cardinality budget is
+integer-repairable on the spot, which keeps trees tiny.  The final incumbent
+is re-solved with its binaries hard-fixed, so big-M leakage cannot survive
+into the returned solution.
 
 The search is a generator, ``_branch_and_bound``, that yields every SOCP it
-needs solved: node relaxations, their retries and the verification solve.
-``solve_misocp`` drives one search through ``solver.solve_socp``;
-``solve_misocp_many`` drives many in lockstep waves through
-``solver.solve_socp_many``.  A search is sent the same solutions either way,
-so it takes the same path and returns the same result.
+needs solved as a ``solver.solve_socp`` argument tuple (ir, fixings,
+settings): node relaxations, their retries and the verification solve.  One
+driver, ``_drive``, runs any number of searches in lockstep waves through
+``solver.solve_socp_many``; ``solve_misocp`` hands it one search and
+``solve_misocp_many`` many.  Batching gives each SOCP the bits of a lone
+solve, so a search takes the same path and returns the same result either
+way.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import MopschedError, ValidationError, count_setting, real_setting
-from .program import EC_EPS_FRACTION, ConicProgramIR, Row
+from .program import EC_EPS_FRACTION
 from . import solver as _solver
 
 _INT_TOL = 1e-6
@@ -52,34 +55,6 @@ class MipSolution:
     gap_rel: object
     nodes_explored: int
     fixings: dict
-
-
-def _relaxed_program(ir, fixed):
-    """Continuous node program: fixed binaries substituted, free ones in [0,1]."""
-    free = [z for z in ir.binaries if z not in fixed]
-    ineqs = []
-    for row in ir.inequalities:
-        coeffs = dict(row.coeffs)
-        rhs = row.rhs
-        for z, val in fixed.items():
-            if z in coeffs:
-                rhs -= coeffs.pop(z) * val
-        ineqs.append(Row(coeffs, rhs, tag=row.tag))
-    for z in free:
-        ineqs.append(Row({z: 1.0}, 1.0, tag=f"relax_ub[{z}]"))
-        ineqs.append(Row({z: -1.0}, 0.0, tag=f"relax_lb[{z}]"))
-    variables = tuple(v for v in ir.variables if v not in fixed)
-    return ConicProgramIR(
-        variables=variables,
-        equalities=ir.equalities,
-        inequalities=tuple(ineqs),
-        soc_cones=ir.soc_cones,
-        binaries=(),
-        objective=ir.objective,
-        big_m=ir.big_m,
-        loss_model=ir.loss_model,
-        converter=ir.converter,
-    )
 
 
 def branch(node_fixed, z_values, binaries):
@@ -124,13 +99,10 @@ def _repair_support(ir, sol, fixed):
 def solve_misocp(ir, cfg=None, settings=None, trace=None):
     """Branch-and-bound MISOCP solve; delegates to the SOCP engine when the
     program has no binaries.  ``trace`` names a CSV file for the B&B nodes."""
-    bnb = _branch_and_bound(ir, cfg, settings, trace)
-    request = bnb.send(None)
-    while True:
-        try:
-            request = bnb.send(_solver.solve_socp(*request))
-        except StopIteration as done:
-            return done.value
+    (result,) = _drive([_branch_and_bound(ir, cfg, settings, trace)])
+    if isinstance(result, MopschedError):
+        raise result
+    return result
 
 
 def _batch_width(ir):
@@ -140,24 +112,33 @@ def _batch_width(ir):
     two bound rows per binary; presolve only shrinks that program, so its
     batches hold at least this many.
     """
-    root = _relaxed_program(ir, {}) if ir.binaries else ir
-    q = len(root.inequalities) + sum(1 + len(cone.tail) for cone in root.soc_cones)
-    return _solver._batch_size(len(root.variables), len(root.equalities), q)
+    q = len(ir.inequalities) + 2 * len(ir.binaries)
+    q += sum(1 + len(cone.tail) for cone in ir.soc_cones)
+    return _solver._batch_size(len(ir.variables), len(ir.equalities), q)
 
 
 def solve_misocp_many(irs, cfg=None, settings=None):
     """Solve each program as ``solve_misocp`` would, their SOCPs in lockstep waves.
 
-    Each unfinished solve puts the SOCP it waits on into a wave, which
-    ``solver.solve_socp_many`` solves in batches; then each runs on to its
-    next SOCP or its end.  Returns one entry per program, in order: its
-    MipSolution, or the MopschedError its solve raised.
+    Returns one entry per program, in order: its MipSolution, or the
+    MopschedError its solve raised.
     """
-    results = [None] * len(irs)
-    waiting = []  # (program index, its B&B generator, the SOCP request it waits on)
+    return _drive([_branch_and_bound(ir, cfg, settings) for ir in irs])
+
+
+def _drive(searches):
+    """Run ``_branch_and_bound`` generators to their ends, their SOCPs in lockstep waves.
+
+    Each unfinished search puts the SOCP it waits on into a wave, which
+    ``solver.solve_socp_many`` solves in batches; then each runs on to its
+    next SOCP or its end.  Returns one entry per search, in order: its
+    MipSolution, or the MopschedError it raised.
+    """
+    results = [None] * len(searches)
+    waiting = []  # (search index, its generator, the SOCP request it waits on)
 
     def run(i, bnb, sol=None):
-        """Hand ``sol`` to program i's generator and run it to its next request or its end."""
+        """Hand ``sol`` to search i and run it to its next request or its end."""
         try:
             request = bnb.throw(sol) if isinstance(sol, MopschedError) else bnb.send(sol)
         except StopIteration as done:
@@ -167,8 +148,8 @@ def solve_misocp_many(irs, cfg=None, settings=None):
         else:
             waiting.append((i, bnb, request))
 
-    for i, ir in enumerate(irs):
-        run(i, _branch_and_bound(ir, cfg, settings))
+    for i, bnb in enumerate(searches):
+        run(i, bnb)
     while waiting:
         wave, waiting = waiting, []
         solved = _solver.solve_socp_many([request for _, _, request in wave])
@@ -237,13 +218,12 @@ def _branch_and_bound(ir, cfg=None, settings=None, trace=None):
             break
         nodes_explored += 1
 
-        rel = _relaxed_program(ir, fixed)
-        sol = yield rel, {}, settings
+        sol = yield ir, fixed, settings
         if sol.status == _solver.NUMERICAL_FAILURE:
             retry = replace(
                 settings or _solver.SolverSettings(), refine=4, ruiz_iter=8, reg=1e-9
             )
-            sol = yield rel, {}, retry
+            sol = yield ir, fixed, retry
         if sol.status == _solver.INFEASIBLE:
             continue
         if sol.status != _solver.OPTIMAL:

@@ -96,6 +96,9 @@ def read_profiles_csv(path):
                 f"profiles file {path} must start with a 'timestep' column"
             )
         names = header[1:]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValidationError(f"profiles file {path} repeats column {name!r}")
         cols = {name: [] for name in names}
         for row_num, row in enumerate(reader, start=2):
             if len(row) != len(header):

@@ -32,9 +32,9 @@ groups requests by dimensions and settings and cuts each group into batches
 of at most ``_MAX_BATCH`` instances whose KKT, LU and W arrays fit
 ``_BATCH_BYTES``; ``solve_socp`` and ``solve_conelp`` are batches of one.
 
-Pipeline for a program IR:  fix binaries -> substitution presolve -> Ruiz
-equilibration -> interior-point solve -> unscale -> reassemble full-variable
-solution and per-row duals.
+Pipeline for a program IR:  fix the given binaries, relax the others to
+[0, 1] -> substitution presolve -> Ruiz equilibration -> interior-point
+solve -> unscale -> reassemble full-variable solution and per-row duals.
 """
 
 from __future__ import annotations
@@ -686,18 +686,20 @@ class _Presolved:
         self.removed_eq_events = []  # (row_idx, var, coef) in elimination order
         self.cone_zero_vars = set()
 
-        binaries = set(ir.binaries)
         fixings = dict(fixings or {})
-        if set(fixings) != binaries:
-            raise ValidationError(
-                "fixings must cover exactly the binaries of the program "
-                f"(expected {sorted(binaries)}, got {sorted(fixings)})"
-            )
+        unknown = set(fixings) - set(ir.binaries)
+        if unknown:
+            raise ValidationError(f"fixings {sorted(unknown)} are not binaries of the program")
         for name, val in fixings.items():
             val = float(val)
             if val not in (0.0, 1.0):
                 raise ValidationError(f"binary fixing {name}={val} is not in {{0, 1}}")
             self._fix(name, val)
+        # unfixed binaries are relaxed to [0, 1]; these rows have no IR row (idx -1)
+        for z in ir.binaries:
+            if z not in fixings:
+                self.ineqs.append({"coeffs": {z: 1.0}, "rhs": 1.0, "idx": -1})
+                self.ineqs.append({"coeffs": {z: -1.0}, "rhs": 0.0, "idx": -1})
         self._run()
 
     def _fix(self, var, val):
@@ -876,7 +878,8 @@ def _reconstruct_duals(pre, y, z_lin, z_cones):
             eq_duals[row["idx"]] = float(yv)
     ineq_duals = [0.0] * len(ir.inequalities)
     for row, zv in zip(pre.ineqs, z_lin):
-        ineq_duals[row["idx"]] = float(zv)
+        if row["idx"] >= 0:
+            ineq_duals[row["idx"]] = float(zv)
     cone_duals = [[0.0] * (1 + len(c.tail)) for c in ir.soc_cones]
     for cone, zc in zip(pre.cones, z_cones):
         cone_duals[cone["idx"]] = [float(v) for v in zc]
@@ -1136,7 +1139,8 @@ def solve_socp_many(requests):
     """Solve continuous programs in lockstep batches, each exactly as ``solve_socp`` would.
 
     ``requests`` is a sequence of (ir, fixings, settings), the arguments of
-    ``solve_socp``.  Requests whose presolved programs have equal dimensions
+    ``solve_socp``: binaries named in ``fixings`` are fixed, the others
+    relaxed to [0, 1].  Requests whose presolved programs have equal dimensions
     and settings share interior-point batches of at most ``_batch_size``
     instances.  Returns one entry per request, in order: its ConicSolution,
     or the MopschedError that ``solve_socp`` would raise for it.
@@ -1145,7 +1149,8 @@ def solve_socp_many(requests):
 
 
 def solve_socp(ir, fixings=None, settings=None, trace=None):
-    """Solve the continuous program (binaries fixed via ``fixings``).
+    """Solve the continuous program: binaries named in ``fixings`` fixed to
+    their 0 or 1, the others relaxed to [0, 1].
 
     Returns a ConicSolution with full-variable primal values, per-row duals,
     residuals measured on the original (unscaled) data, and the duality gap.

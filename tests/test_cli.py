@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mopsched import cli
+from mopsched import cli, mission
 
 from conftest import fail_solve_when
 
@@ -179,6 +179,20 @@ def _non_utf8_profiles(tmp_path, cfg):
     return _run(tmp_path)
 
 
+def _repeated_level(tmp_path, cfg):
+    cfg["cardinality"] = [1, "unconstrained", "unconstrained"]
+    return _run(tmp_path)
+
+
+def _repeated_profile_columns(tmp_path, cfg):
+    # every column twice: read as one column each, they would make a 4-step
+    # horizon of interleaved values from a 2-row file
+    names = b"residential_a,residential_b,commercial,solar"
+    rows = b"timestep," + names + b"," + names + b"\n0" + b",0.5" * 8 + b"\n1" + b",0.4" * 8 + b"\n"
+    cfg["profiles"] = _write(tmp_path / "profiles.csv", rows)
+    return _run(tmp_path)
+
+
 # case -> the command-line arguments, given the test directory and the config
 # document, which the case may edit before it is written
 BAD_INPUTS = {
@@ -193,6 +207,9 @@ BAD_INPUTS = {
         "ec", "--input", _write(d / "mission.csv", b"t,S_c_1\n0,\xff\n"), "--s-total", "400"
     ],
     "cardinality_token": lambda d, cfg: _run(d, "--cardinality", "1,x"),
+    "cardinality_repeated": lambda d, cfg: _run(d, "--cardinality", "1,1"),
+    "cardinality_repeated_config": _repeated_level,
+    "profiles_repeated_column": _repeated_profile_columns,
 }
 
 
@@ -476,13 +493,13 @@ class TestLoadConfig:
 class TestVerify:
     def test_fixture_passes(self, tmp_path, monkeypatch):
         p_der = []
-        build = cli.build_timestep_program
+        build = mission.build_timestep_program
 
         def recording_build(lg, conv, ts):
             p_der.append(ts.p_der)
             return build(lg, conv, ts)
 
-        monkeypatch.setattr(cli, "build_timestep_program", recording_build)
+        monkeypatch.setattr(mission, "build_timestep_program", recording_build)
         result = CliRunner().invoke(
             cli.main, ["verify", "--config", "5bus", "--out", str(tmp_path)]
         )
@@ -502,7 +519,7 @@ class TestVerify:
         cfg = cli.load_config(dict(doc, mip=mip))
         bnb = cli._bnb_config(cfg)
         limits = []
-        build = cli._timestep_program
+        build = mission._timestep_program
         solve = cli._mip.solve_misocp
 
         def recording_build(lg, conv, hz, t):
@@ -517,7 +534,7 @@ class TestVerify:
             tol = max(bnb.abs_gap, bnb.rel_gap * abs(oc.objective))
             return replace(ms, objective=oc.objective + factor * tol)
 
-        monkeypatch.setattr(cli, "_timestep_program", recording_build)
+        monkeypatch.setattr(mission, "_timestep_program", recording_build)
         monkeypatch.setattr(cli._mip, "solve_misocp", off_by_gap)
         _, checks = cli.verify(cfg)
         compared = [

@@ -182,3 +182,17 @@ class TestSolveMisocpMany:
             assert_same_solution(got, want)
         assert isinstance(many[7], ValidationError)
         assert [many[i].status for i in (5, 6)] == ["infeasible", "infeasible"]
+
+
+class TestBatchWidth:
+    """A horizon solves its timesteps in windows of ``_batch_width``; a wider
+    window holds more programs and searches at once and raises peak memory."""
+
+    @pytest.mark.parametrize("n, width", [(UNCONSTRAINED, 5), (1, 4), (2, 4), (3, 4)])
+    def test_ieee33(self, grid33, conv33, bg33, n, width):
+        assert M._batch_width(instance33(grid33, conv33, bg33, cardinality=n)) == width
+
+    @pytest.mark.parametrize("n", [UNCONSTRAINED, 1, 2])
+    @pytest.mark.parametrize("p_der", [0.0, 0.12])
+    def test_5bus(self, grid5, n, p_der):
+        assert M._batch_width(instance5(grid5, cardinality=n, p_der=p_der)) == 24

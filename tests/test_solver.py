@@ -9,13 +9,13 @@ one-at-a-time solves.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings as hsettings, strategies as st
 
-from mopsched import mip as M
 from mopsched import oracle as O
 from mopsched import solver as S
 from mopsched.errors import MopschedError, ValidationError
@@ -228,13 +228,57 @@ class TestCertifiedQuality:
             assert abs(a.primal[v] - b.primal[v]) < 1e-6
 
 
+def relaxation(ir, fixed):
+    """The node program spelled out: fixed binaries substituted, the rest in [0, 1]."""
+    ineqs = []
+    for row in ir.inequalities:
+        coeffs = dict(row.coeffs)
+        rhs = row.rhs
+        for z, val in fixed.items():
+            if z in coeffs:
+                rhs -= coeffs.pop(z) * val
+        ineqs.append(Row(coeffs, rhs, tag=row.tag))
+    for z in ir.binaries:
+        if z not in fixed:
+            ineqs += [Row({z: 1.0}, 1.0), Row({z: -1.0}, 0.0)]
+    return replace(
+        ir,
+        variables=tuple(v for v in ir.variables if v not in fixed),
+        inequalities=tuple(ineqs),
+        binaries=(),
+    )
+
+
 class TestFixings:
-    def test_fixings_must_cover_binaries(self, grid5):
-        ir = instance5(grid5, cardinality=1)
-        with pytest.raises(ValidationError, match="fixings"):
-            S.solve_socp(ir, {"z[1]": 1.0})
-        with pytest.raises(ValidationError, match="fixings"):
-            S.solve_socp(ir, None)
+    @staticmethod
+    def partial_fixings(ir):
+        z = ir.binaries
+        yield None
+        yield {}
+        yield {z[0]: 0.0}
+        yield {z[-1]: 1.0}
+        if len(z) > 2:
+            yield {z[1]: 1.0, z[2]: 0.0}
+            yield {z[0]: 0.0, z[3]: 0.0}
+
+    def test_partial_fixings_relax_the_rest(self, grid5, grid33, conv33, bg33):
+        """An unfixed binary is relaxed to [0, 1], bit for bit as in the spelled-out program."""
+        programs = [instance33(grid33, conv33, bg33, cardinality=n) for n in (1, 2, 3)]
+        programs.append(instance5(grid5, cardinality=1, p_der=0.12))
+        for ir in programs:
+            for fixed in self.partial_fixings(ir):
+                got = S.solve_socp(ir, fixed)
+                want = S.solve_socp(relaxation(ir, fixed or {}))
+                assert got.status == want.status == S.OPTIMAL
+                assert got.iterations == want.iterations
+                assert got.objective == want.objective
+                assert got.info["dcost"] == want.info["dcost"]
+                assert got.primal == dict(want.primal, **(fixed or {}))
+                # one inequality dual per row of the program passed in
+                assert got.duals["equalities"] == want.duals["equalities"]
+                assert got.duals["soc_cones"] == want.duals["soc_cones"]
+                rows = len(ir.inequalities)
+                assert got.duals["inequalities"] == want.duals["inequalities"][:rows]
 
     def test_fixings_must_be_binary_valued(self, grid5):
         ir = instance5(grid5, cardinality=1)
@@ -339,7 +383,7 @@ class TestKktLapack:
                     assert np.array_equal(got, want)
 
     def test_ieee33_n2_root(self, grid33, conv33, bg33, monkeypatch):
-        ir = M._relaxed_program(instance33(grid33, conv33, bg33, cardinality=2), {})
+        ir = instance33(grid33, conv33, bg33, cardinality=2)
         seen = {"W": []}
         kkt_matrix, kkt_factor = S._kkt_matrix, S._kkt_factor
 
@@ -405,7 +449,7 @@ class TestSolvesShareNoState:
         """A per-solve buffer shared by mistake shows as a changed bit."""
         programs = [
             instance5(grid5, p_der=0.12),
-            M._relaxed_program(instance33(grid33, conv33, bg33, cardinality=2), {}),
+            instance33(grid33, conv33, bg33, cardinality=2),
         ]
         single = [S.solve_socp(ir) for ir in programs]
         forward = [S.solve_socp(ir) for ir in programs]
@@ -443,11 +487,11 @@ class TestSolveSocpMany:
         reqs += [(instance5(grid5, bg={b: f * s for b, s in BG5.items()}), {}, None) for f in (0.4, 0.6, 1.0)]
         reqs += [
             (instance5(grid5), {}, S.SolverSettings(refine=4, ruiz_iter=8, reg=1e-9)),
-            (M._relaxed_program(n1, {}), {}, None),
-            (M._relaxed_program(n1, {z1: 0.0}), {}, None),
+            (n1, {}, None),
+            (n1, {z1: 0.0}, None),
             (n1, {z1: 1.0, z2: 0.0}, None),
             (n1, {z1: 0.0, z2: 1.0}, None),
-            (M._relaxed_program(instance33(grid33, conv33, bg33, cardinality=2), {}), {}, None),
+            (instance33(grid33, conv33, bg33, cardinality=2), {}, None),
             (instance33(grid33, conv33, bg33), {}, None),
             # infeasible in presolve and in the interior-point method
             (der0, {z: 0.0 for z in der0.binaries}, None),
@@ -458,8 +502,8 @@ class TestSolveSocpMany:
             # out of iterations: a numerical failure
             (instance5(grid5), {}, S.SolverSettings(max_iter=3)),
             (instance33(grid33, conv33, bg33), {}, S.SolverSettings(max_iter=4)),
-            # fixings that miss a binary: solve_socp raises
-            (n1, {z1: 1.0}, None),
+            # a fixing of a name that is no binary: solve_socp raises
+            (n1, {"z[9]": 1.0}, None),
         ]
         return reqs
 

@@ -456,7 +456,10 @@ def _linearization_compare(lg, lin_dir):
     lin_dir = Path(lin_dir)
     checks = []
     for name, expect in _model_arrays(lg).items():
-        got = np.loadtxt(lin_dir / name, delimiter=",", ndmin=expect.ndim)
+        try:
+            got = np.loadtxt(lin_dir / name, delimiter=",", ndmin=expect.ndim)
+        except ValueError as exc:
+            raise ValidationError(f"linearization dump {lin_dir / name}: {exc}") from exc
         ok = got.shape == expect.shape and np.allclose(got, expect, atol=1e-9, rtol=0)
         detail = "matches rebuilt model" if ok else "differs from rebuilt model"
         checks.append((f"linearization_{name}", ok, detail))

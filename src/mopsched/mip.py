@@ -108,13 +108,12 @@ def solve_misocp(ir, cfg=None, settings=None, trace=None):
 def _batch_width(ir):
     """Programs shaped like ``ir`` whose root SOCPs fill one solver batch.
 
-    The root of a search solves ``ir`` with its binaries relaxed, which adds
-    two bound rows per binary; presolve only shrinks that program, so its
+    The root of a search solves ``ir``'s standard form with every binary
+    relaxed by its bound rows; presolve only shrinks that program, so its
     batches hold at least this many.
     """
-    q = len(ir.inequalities) + 2 * len(ir.binaries)
-    q += sum(1 + len(cone.tail) for cone in ir.soc_cones)
-    return _solver._batch_size(len(ir.variables), len(ir.equalities), q)
+    (p, n), q = ir.standard_form.A.shape, len(ir.standard_form.h)
+    return _solver._batch_size(n, p, q)
 
 
 def solve_misocp_many(irs, cfg=None, settings=None):

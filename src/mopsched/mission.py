@@ -84,6 +84,8 @@ class HorizonInput:
             raise ValidationError(f"non-finite horizon data: {', '.join(bad)}")
         if self.timestep_hours <= 0:
             raise ValidationError("timestep duration must be positive")
+        if not self.v_min < self.v_max:
+            raise ValidationError("voltage limits must satisfy v_min < v_max")
 
     @property
     def tau(self):
@@ -105,12 +107,10 @@ class MissionProfile:
     conv_loss_kw: np.ndarray
     baseline_ntwk_loss_kw: np.ndarray
     tightness: np.ndarray
-    mip_gap_rel: np.ndarray
     eps_kva: float
     s_total_kva: float
     timestep_hours: float
     cardinality: object = UNCONSTRAINED
-    pcc_buses: tuple = ()
     extra: dict = field(default_factory=dict)
 
     @property
@@ -202,7 +202,6 @@ def _timestep_result(grid, conv, t, ir, ms):
             conv_loss=np.nan,
             baseline=baseline_kw,
             tight=np.nan,
-            gap_rel=np.nan,
         )
         if ms is None:
             out["error"] = error
@@ -220,7 +219,6 @@ def _timestep_result(grid, conv, t, ir, ms):
         conv_loss=sum(sol.primal[f"P_loss_conv[{i + 1}]"] for i in range(m)) * s_base,
         baseline=baseline_kw,
         tight=_solver.check_relaxation_tightness(ir, sol),
-        gap_rel=ms.gap_rel if ms.gap_rel is not None else 0.0,
     )
 
 
@@ -332,12 +330,10 @@ def schedule_horizon(grid, conv, horizon, cfg=None, settings=None):
         conv_loss_kw=np.array([r["conv_loss"] for r in results]),
         baseline_ntwk_loss_kw=np.array([r["baseline"] for r in results]),
         tightness=np.array([r["tight"] for r in results]),
-        mip_gap_rel=np.array([r["gap_rel"] for r in results]),
         eps_kva=eps_kva,
         s_total_kva=s_total_kva,
         timestep_hours=horizon.timestep_hours,
         cardinality=horizon.cardinality_limit,
-        pcc_buses=tuple(conv.pcc_buses),
         extra={"errors": errors} if errors else {},
     )
 

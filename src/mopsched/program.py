@@ -15,12 +15,17 @@ diagnostics and oracles that evaluate the unrelaxed objective),
 ``cardinality`` maps each binary indicator to the leg variable it gates and
 holds the budget, and ``converter`` holds the converter constants.  The
 rows' tags are labels for people reading a ``serialize_ir`` dump.
+
+An IR also offers itself as a ``StandardForm``, the arrays of
+min c'x s.t. A x = b, G x + s = h, s in K that the solver takes, compiled
+once on first use and shared by every solve of the program.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -157,6 +162,73 @@ class ConicProgramIR:
             if gated not in names:
                 raise ValidationError(f"indicator {z!r} gates unknown variable {gated!r}")
         return self
+
+    @cached_property
+    def standard_form(self):
+        """The program's ``StandardForm``, compiled on first use."""
+        return StandardForm(self)
+
+
+class StandardForm:
+    """The IR as  min c'x + c0  s.t.  A x = b,  G x + s = h,  s in K,  nothing fixed.
+
+    Columns are ``ir.variables`` in order (``columns`` maps a name to its
+    column) and the rows of A the equalities.  The rows of G are the
+    inequalities, then ``z <= 1`` and ``-z <= 0`` for each binary z, then
+    each cone: a head row (-1 on the head, 0 in h) and one row per tail
+    expression (minus its coefficients, its constant in h).  K is the
+    nonnegative orthant on the first ``dims[0]`` rows of G and one
+    second-order cone of each size in ``dims[1]``; cone k starts at row
+    ``starts[k]`` of G and has its head in column ``heads[k]``.
+
+    For presolve, ``by_row`` and ``by_col`` list the nonzeros of the stacked
+    rows [A; G] outside the head rows as (ptr, index, value) lists: row r's
+    columns are ``index[ptr[r]:ptr[r + 1]]`` of ``by_row``, in column order,
+    and their values the same slice of ``value``; ``by_col`` lists each
+    column's rows the same way.  The arrays are read-only.
+    """
+
+    def __init__(self, ir):
+        self.columns = columns = {v: j for j, v in enumerate(ir.variables)}
+        # the stacked rows of [A; G]: coefficients, their sign in the matrix, rhs
+        stacked = [(r.coeffs, 1.0, r.rhs) for r in (*ir.equalities, *ir.inequalities)]
+        for z in ir.binaries:
+            stacked += [({z: 1.0}, 1.0, 1.0), ({z: -1.0}, 1.0, 0.0)]
+        l = len(stacked) - len(ir.equalities)
+        sizes, head_rows = [], []
+        for cone in ir.soc_cones:
+            sizes.append(1 + len(cone.tail))
+            head_rows.append(len(stacked))
+            stacked.append(({cone.head: 1.0}, -1.0, 0.0))
+            stacked += [(e.coeffs, -1.0, e.const) for e in cone.tail]
+        # set entry by entry, so that a coefficient a row lacks stays +0.0
+        M = np.zeros((len(stacked), len(columns)))
+        M[
+            [r for r, (coeffs, _, _) in enumerate(stacked) for _ in coeffs],
+            [columns[v] for coeffs, _, _ in stacked for v in coeffs],
+        ] = [sign * cf for coeffs, sign, _ in stacked for cf in coeffs.values()]
+        rhs = np.array([float(const) for _, _, const in stacked])
+        self.c = np.zeros(len(columns))
+        for v, cf in ir.objective.coeffs.items():
+            self.c[columns[v]] = cf
+        self.c0 = float(ir.objective.const)
+        nonzero = M != 0
+        nonzero[head_rows] = False
+        self.by_row, self.by_col = _compressed(M, nonzero), _compressed(M.T, nonzero.T)
+        for a in (M, rhs, self.c):
+            a.flags.writeable = False
+        p = len(ir.equalities)
+        self.A, self.b, self.G, self.h = M[:p], rhs[:p], M[p:], rhs[p:]
+        self.dims = (l, tuple(sizes))
+        self.heads = tuple(columns[cone.head] for cone in ir.soc_cones)
+        self.starts = tuple(l + sum(sizes[:k]) for k in range(len(sizes)))
+
+
+def _compressed(M, mask):
+    """(ptr, index, value) lists of the entries of M where mask holds, row by row."""
+    rows, index = np.nonzero(mask)
+    ptr = np.searchsorted(rows, np.arange(len(M) + 1))
+    return ptr.tolist(), index.tolist(), M[rows, index].tolist()
 
 
 def build_timestep_program(grid, conv, ts):

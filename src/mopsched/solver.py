@@ -32,9 +32,11 @@ groups requests by dimensions and settings and cuts each group into batches
 of at most ``_MAX_BATCH`` instances whose KKT, LU and W arrays fit
 ``_BATCH_BYTES``; ``solve_socp`` and ``solve_conelp`` are batches of one.
 
-Pipeline for a program IR:  fix the given binaries, relax the others to
-[0, 1] -> substitution presolve -> Ruiz equilibration -> interior-point
-solve -> unscale -> reassemble full-variable solution and per-row duals.
+Pipeline for a program IR:  take its standard form, compiled once per IR
+-> fix the given binaries, relax the others to [0, 1] by their bound rows
+-> substitution presolve, which selects rows and columns of the form ->
+Ruiz equilibration -> interior-point solve -> unscale -> full-variable
+solution, and per-row duals scattered back onto the form's rows.
 """
 
 from __future__ import annotations
@@ -130,16 +132,6 @@ def _norm(v):
 # the batched helpers take a (k, size) stack of such vectors.
 
 
-def _soc_slices(dims):
-    l, qs = dims
-    out = []
-    start = l
-    for d in qs:
-        out.append(slice(start, start + d))
-        start += d
-    return out
-
-
 class _Cones:
     """Layout of the cone K, worked out once per batch.
 
@@ -157,8 +149,10 @@ class _Cones:
         self.size = l + sum(qs)
         self.degree = l + len(qs)
         by_dim = {}
-        for blk in _soc_slices(dims):
-            by_dim.setdefault(blk.stop - blk.start, []).append(np.arange(blk.start, blk.stop))
+        start = l
+        for d in qs:
+            by_dim.setdefault(d, []).append(np.arange(start, start + d))
+            start += d
         self.groups = [np.array(rows) for rows in by_dim.values()]
         self.e = np.zeros(self.size)
         self.e[:l] = 1.0
@@ -626,35 +620,32 @@ def _ruiz_equilibrate(A, G, dims, iters):
     p, q = A.shape[0], G.shape[0]
     n = G.shape[1]
     M = np.vstack([A, G]) if p else G.copy()
+    l, qs = dims
+    offsets = np.cumsum([0] + list(qs[:-1]))  # of the cone blocks, from row p + l
     r = np.ones(p + q)
     d = np.ones(n)
     for _ in range(iters):
-        Ms = r[:, None] * M * d[None, :]
-        rn = np.max(np.abs(Ms), axis=1)
+        Ms = np.abs(r[:, None] * M * d[None, :])
+        rn = Ms.max(axis=1)
         rn[rn == 0] = 1.0
-        for sl in _soc_slices(dims):
-            blk = slice(p + sl.start, p + sl.stop)
-            rn[blk] = np.max(rn[blk])
-        cn = np.max(np.abs(Ms), axis=0)
+        if len(qs):
+            rn[p + l :] = np.repeat(np.maximum.reduceat(rn[p + l :], offsets), qs)
+        cn = Ms.max(axis=0)
         cn[cn == 0] = 1.0
         r /= np.sqrt(rn)
         d /= np.sqrt(cn)
     return r[:p], r[p:], d
 
 
-# --- IR presolve and assembly -------------------------------------------------
+# --- presolve over the standard form -------------------------------------------
 
 
 class _Infeasible(Exception):
-    def __init__(self, reason):
-        self.reason = reason
-        super().__init__(reason)
+    """Presolve proved the program infeasible; the message says how."""
 
 
 class _Unbounded(Exception):
-    def __init__(self, reason):
-        self.reason = reason
-        super().__init__(reason)
+    """Presolve proved the program unbounded; the message says how."""
 
 
 _FEAS_TOL = 1e-9
@@ -662,28 +653,41 @@ _FIX_CONFLICT_TOL = 1e-7
 
 
 class _Presolved:
+    """A request's program after fixings and presolve: rows and columns of ``ir.standard_form``.
+
+    Presolve works on the stacked rows [A; G] of the form: a fixed variable
+    is substituted into the right-hand side ``rhs`` of each row where it has
+    a nonzero, a row's in column order, and ``count`` holds each row's
+    nonzeros on the columns not yet substituted.  A fixed binary's two bound
+    rows are dropped; an unfixed one keeps them, relaxed to [0, 1].  Each
+    round substitutes the variables fixed since the last one, then applies
+    the rules to the rows with at most one nonzero left (``low``) and to the
+    cones: an equality with one nonzero fixes its variable, an empty row is
+    checked and dropped, an inequality that forces a cone head to zero
+    collapses the cone, and a cone with a fixed head and a constant tail is
+    checked and dropped.  A collapsed cone's tail row with two or more free
+    variables becomes an equality.  When no rule fires, a variable no row
+    uses is fixed at zero.  ``free``, ``eq`` and ``g_rows`` then select the
+    program's columns, the form's equality rows and its G rows, which
+    ``arrays`` slices.
+    """
+
     def __init__(self, ir, fixings):
-        self.ir = ir
-        self.fixed = {}
-        self.eqs = [
-            {"coeffs": dict(r.coeffs), "rhs": float(r.rhs), "idx": i}
-            for i, r in enumerate(ir.equalities)
-        ]
-        self.ineqs = [
-            {"coeffs": dict(r.coeffs), "rhs": float(r.rhs), "idx": i}
-            for i, r in enumerate(ir.inequalities)
-        ]
-        self.cones = [
-            {
-                "head": c.head,
-                "tail": [[dict(e.coeffs), float(e.const)] for e in c.tail],
-                "idx": i,
-            }
-            for i, c in enumerate(ir.soc_cones)
-        ]
-        self.obj_coeffs = dict(ir.objective.coeffs)
-        self.obj_const = float(ir.objective.const)
-        self.removed_eq_events = []  # (row_idx, var, coef) in elimination order
+        sf = self.sf = ir.standard_form
+        self.names = ir.variables
+        self.n_ineq = len(ir.inequalities)
+        p, l = len(sf.b), sf.dims[0]
+        self.rhs = sf.b.tolist() + sf.h.tolist()
+        ptr = sf.by_row[0]
+        self.count = [b - a for a, b in zip(ptr, ptr[1:])]
+        # the equality and linear rows not dropped; a cone's rows go with it
+        self.live = [True] * (p + l) + [False] * (len(sf.h) - l)
+        self.cones = list(range(len(sf.heads)))
+        self.fixed = {}  # column -> value, in fixing order
+        self.pending = []  # columns fixed but not yet substituted
+        self.done = set()  # columns substituted
+        self.c0 = sf.c0
+        self.removed_eq_events = []  # (form row or -1, column, coef) in elimination order
         self.cone_zero_vars = set()
 
         fixings = dict(fixings or {})
@@ -694,268 +698,230 @@ class _Presolved:
             val = float(val)
             if val not in (0.0, 1.0):
                 raise ValidationError(f"binary fixing {name}={val} is not in {{0, 1}}")
-            self._fix(name, val)
-        # unfixed binaries are relaxed to [0, 1]; these rows have no IR row (idx -1)
-        for z in ir.binaries:
-            if z not in fixings:
-                self.ineqs.append({"coeffs": {z: 1.0}, "rhs": 1.0, "idx": -1})
-                self.ineqs.append({"coeffs": {z: -1.0}, "rhs": 0.0, "idx": -1})
+            self._fix(sf.columns[name], val)
+        bounds = p + self.n_ineq
+        for k, z in enumerate(ir.binaries):
+            if z in fixings:
+                self.live[bounds + 2 * k] = self.live[bounds + 2 * k + 1] = False
+        # rows presolve looks at: live ones with at most one coefficient
+        self.low = {r for r in range(p + l) if self.live[r] and self.count[r] <= 1}
         self._run()
 
-    def _fix(self, var, val):
-        if var in self.fixed:
-            if abs(self.fixed[var] - val) > _FIX_CONFLICT_TOL:
+        self.free = np.array([j for j in range(len(sf.c)) if j not in self.fixed], int)
+        self.eq = np.array([r for r in range(p) if self.live[r]], int)
+        rows = [r - p for r in range(p, p + l) if self.live[r]]
+        sizes = [sf.dims[1][k] for k in self.cones]
+        self.dims = (len(rows), sizes)
+        for k, q in zip(self.cones, sizes):
+            rows += range(sf.starts[k], sf.starts[k] + q)
+        self.g_rows = np.array(rows, int)
+
+    def _fix(self, j, val):
+        if j in self.fixed:
+            if abs(self.fixed[j] - val) > _FIX_CONFLICT_TOL:
                 raise _Infeasible(
-                    f"variable {var} forced to both {self.fixed[var]} and {val}"
+                    f"variable {self.names[j]} forced to both {self.fixed[j]} and {val}"
                 )
             return
-        self.fixed[var] = val
+        self.fixed[j] = val
+        self.pending.append(j)
 
     def _substitute(self):
-        for row in self.eqs + self.ineqs:
-            for var in [v for v in row["coeffs"] if v in self.fixed]:
-                row["rhs"] -= row["coeffs"].pop(var) * self.fixed[var]
-        for cone in self.cones:
-            for entry in cone["tail"]:
-                coeffs, _ = entry
-                for var in [v for v in coeffs if v in self.fixed]:
-                    entry[1] += coeffs.pop(var) * self.fixed[var]
-        for var in [v for v in self.obj_coeffs if v in self.fixed]:
-            self.obj_const += self.obj_coeffs.pop(var) * self.fixed[var]
+        """Substitute the variables fixed since the last call."""
+        ptr, rows, vals = self.sf.by_col
+        rhs, count, live = self.rhs, self.count, self.live
+        # in column order, so that each row takes its terms in column order
+        for j in sorted(self.pending):
+            val = self.fixed[j]
+            for r, g in zip(rows[ptr[j] : ptr[j + 1]], vals[ptr[j] : ptr[j + 1]]):
+                rhs[r] -= g * val
+                count[r] -= 1
+                if count[r] <= 1 and live[r]:
+                    self.low.add(r)
+            if self.sf.c[j]:
+                self.c0 += float(self.sf.c[j]) * val
+            self.done.add(j)
+        self.pending = []
+
+    def _entries(self, r):
+        """(column, coefficient) of row r on the columns not yet substituted."""
+        ptr, cols, vals = self.sf.by_row
+        row = zip(cols[ptr[r] : ptr[r + 1]], vals[ptr[r] : ptr[r + 1]])
+        return [(j, v) for j, v in row if j not in self.done]
+
+    def _tail_rows(self, k):
+        """The stacked rows of cone k's tail expressions."""
+        start = len(self.sf.b) + self.sf.starts[k]
+        return range(start + 1, start + self.sf.dims[1][k])
 
     def _run(self):
+        sf = self.sf
+        p = len(sf.b)
+        lin_end = p + sf.dims[0]
         changed = True
         while changed:
             changed = False
             self._substitute()
-            heads = {c["head"]: c for c in self.cones}
+            heads = {sf.heads[k]: k for k in self.cones}
+            self.low = {r for r in self.low if self.live[r]}
+            rows = sorted(self.low)
 
-            for row in list(self.eqs):
-                if not row["coeffs"]:
-                    if abs(row["rhs"]) > _FEAS_TOL:
-                        raise _Infeasible(
-                            f"equality row {row['idx']} reduces to 0 = {row['rhs']:.3e}"
-                        )
-                    self.eqs.remove(row)
-                    changed = True
-                elif len(row["coeffs"]) == 1:
-                    (var, coef), = row["coeffs"].items()
+            # the form's equalities, then the tail rows made equalities (whose
+            # G signs flip rhs and coef alike, so rhs / coef stands)
+            for r in [r for r in rows if r < p or r >= lin_end]:
+                idx = r if r < p else -1
+                rhs = self.rhs[r]
+                if self.count[r] == 0:
+                    if abs(rhs) > _FEAS_TOL:
+                        raise _Infeasible(f"equality row {idx} reduces to 0 = {rhs:.3e}")
+                else:
+                    ((j, coef),) = self._entries(r)
                     if abs(coef) < 1e-12:
-                        if abs(row["rhs"]) > _FEAS_TOL:
-                            raise _Infeasible(f"degenerate equality row {row['idx']}")
+                        if abs(rhs) > _FEAS_TOL:
+                            raise _Infeasible(f"degenerate equality row {idx}")
                     else:
-                        self._fix(var, row["rhs"] / coef)
-                        self.removed_eq_events.append((row["idx"], var, coef))
-                    self.eqs.remove(row)
-                    changed = True
+                        self._fix(j, rhs / coef)
+                        self.removed_eq_events.append((idx, j, coef))
+                self.live[r] = False
+                changed = True
 
-            for row in list(self.ineqs):
-                if not row["coeffs"]:
-                    if row["rhs"] < -_FEAS_TOL:
-                        raise _Infeasible(
-                            f"inequality row {row['idx']} reduces to 0 <= {row['rhs']:.3e}"
-                        )
-                    self.ineqs.remove(row)
+            for r in [r for r in rows if p <= r < lin_end]:
+                idx = r - p if r - p < self.n_ineq else -1
+                rhs = self.rhs[r]
+                if self.count[r] == 0:
+                    if rhs < -_FEAS_TOL:
+                        raise _Infeasible(f"inequality row {idx} reduces to 0 <= {rhs:.3e}")
+                    self.live[r] = False
                     changed = True
                     continue
-                if len(row["coeffs"]) == 1:
-                    (var, coef), = row["coeffs"].items()
-                    # Cone head forced to zero collapses the whole cone block.
-                    if coef > 0 and row["rhs"] / coef <= 1e-12 and var in heads:
-                        cone = heads.pop(var)
-                        self._collapse_cone(cone, var)
-                        self.cones.remove(cone)
-                        self.ineqs.remove(row)
-                        changed = True
+                ((j, coef),) = self._entries(r)
+                # Cone head forced to zero collapses the whole cone block.
+                if coef > 0 and rhs / coef <= 1e-12 and j in heads:
+                    k = heads.pop(j)
+                    self._collapse_cone(k, j)
+                    self.cones.remove(k)
+                    self.live[r] = False
+                    changed = True
 
-            for cone in list(self.cones):
-                if cone["head"] in self.fixed and all(
-                    not coeffs for coeffs, _ in cone["tail"]
-                ):
-                    head_val = self.fixed[cone["head"]]
-                    norm = math.hypot(*[const for _, const in cone["tail"]])
+            for k in list(self.cones):
+                head = sf.heads[k]
+                if head in self.fixed and not any(self.count[t] for t in self._tail_rows(k)):
+                    head_val = self.fixed[head]
+                    norm = math.hypot(*[self.rhs[t] for t in self._tail_rows(k)])
                     if head_val < norm - 1e-7:
                         raise _Infeasible(
-                            f"cone {cone['idx']} fixed infeasible: {head_val:.3e} < {norm:.3e}"
+                            f"cone {k} fixed infeasible: {head_val:.3e} < {norm:.3e}"
                         )
-                    self.cones.remove(cone)
+                    self.cones.remove(k)
                     changed = True
 
         # Variables appearing nowhere: cost-free ones pin to zero.
-        used = set()
-        for row in self.eqs + self.ineqs:
-            used.update(row["coeffs"])
-        for cone in self.cones:
-            used.add(cone["head"])
-            for coeffs, _ in cone["tail"]:
-                used.update(coeffs)
-        for var in self.ir.variables:
-            if var in self.fixed or var in used:
+        kept = list(self.live)
+        for k in self.cones:
+            for t in self._tail_rows(k):
+                kept[t] = True
+        used = {sf.heads[k] for k in self.cones}
+        ptr, rows, _ = sf.by_col
+        for j in range(len(sf.c)):
+            if j in self.fixed or j in used or any(kept[r] for r in rows[ptr[j] : ptr[j + 1]]):
                 continue
-            if abs(self.obj_coeffs.get(var, 0.0)) > 0:
-                raise _Unbounded(f"variable {var} is unconstrained with nonzero cost")
-            self._fix(var, 0.0)
-        self._substitute()
-        self.free_vars = [v for v in self.ir.variables if v not in self.fixed]
+            if abs(sf.c[j]) > 0:
+                raise _Unbounded(f"variable {self.names[j]} is unconstrained with nonzero cost")
+            self._fix(j, 0.0)
 
-    def forget_rows(self):
-        """Keep of each row and cone only its index, all ``_reconstruct_duals`` reads after ``_assemble``."""
-        for rows in (self.eqs, self.ineqs, self.cones):
-            rows[:] = [{"idx": row["idx"]} for row in rows]
-
-    def _collapse_cone(self, cone, head):
+    def _collapse_cone(self, k, head):
         self._fix(head, 0.0)
         self.cone_zero_vars.add(head)
-        for coeffs, const in cone["tail"]:
-            live = {v: c for v, c in coeffs.items() if v not in self.fixed}
-            shift = const + sum(c * self.fixed[v] for v, c in coeffs.items() if v in self.fixed)
+        for t in self._tail_rows(k):
+            # the tail expression's coefficients are minus its G row's
+            coeffs = [(j, -v) for j, v in self._entries(t)]
+            live = [(j, cf) for j, cf in coeffs if j not in self.fixed]
+            shift = self.rhs[t] + sum(cf * self.fixed[j] for j, cf in coeffs if j in self.fixed)
             if not live:
                 if abs(shift) > _FEAS_TOL:
-                    raise _Infeasible(f"cone on {head} forces {shift:.3e} = 0")
+                    raise _Infeasible(f"cone on {self.names[head]} forces {shift:.3e} = 0")
             elif len(live) == 1:
-                (var, coef), = live.items()
-                self._fix(var, -shift / coef)
-                self.cone_zero_vars.add(var)
+                ((j, cf),) = live
+                self._fix(j, -shift / cf)
+                self.cone_zero_vars.add(j)
             else:
-                self.eqs.append(
-                    {"coeffs": live, "rhs": -shift, "idx": -1}
-                )
+                self.live[t] = True  # an equality now
+
+    def arrays(self):
+        """The presolved program's (c, A, b, G, h): rows and columns of the form."""
+        sf, free = self.sf, self.free
+        p = len(sf.b)
+        rhs = np.array(self.rhs)
+        A = sf.A[self.eq[:, None], free]
+        b = rhs[self.eq]
+        tails = np.array([t for t in range(p + sf.dims[0], len(self.live)) if self.live[t]], int)
+        if len(tails):
+            # + 0.0 keeps a coefficient the row lacks at +0.0
+            A = np.vstack([A, -sf.G[tails[:, None] - p, free] + 0.0])
+            b = np.concatenate([b, -rhs[tails]])
+        G = sf.G[self.g_rows[:, None], free]
+        h = rhs[p + self.g_rows]
+        # a fixed head leaves its value in its cone's head row
+        start = self.dims[0]
+        for k, q in zip(self.cones, self.dims[1]):
+            if sf.heads[k] in self.fixed:
+                h[start] = self.fixed[sf.heads[k]]
+            start += q
+        return sf.c[free], A, b, G, h
 
 
-def _assemble(pre):
-    """Dense cone-LP arrays from a presolved program."""
-    order = pre.free_vars
-    vidx = {v: j for j, v in enumerate(order)}
-    n = len(order)
-    p = len(pre.eqs)
-    A = np.zeros((p, n))
-    b = np.zeros(p)
-    for i, row in enumerate(pre.eqs):
-        for v, cf in row["coeffs"].items():
-            A[i, vidx[v]] = cf
-        b[i] = row["rhs"]
-    l = len(pre.ineqs)
-    g_rows = [None] * l
-    h = np.zeros(l + sum(1 + len(c["tail"]) for c in pre.cones))
-    G = np.zeros((len(h), n))
-    for i, row in enumerate(pre.ineqs):
-        for v, cf in row["coeffs"].items():
-            G[i, vidx[v]] = cf
-        h[i] = row["rhs"]
-    qs = []
-    r = l
-    for cone in pre.cones:
-        qs.append(1 + len(cone["tail"]))
-        head = cone["head"]
-        if head in pre.fixed:
-            h[r] = pre.fixed[head]
-        else:
-            G[r, vidx[head]] = -1.0
-        r += 1
-        for coeffs, const in cone["tail"]:
-            for v, cf in coeffs.items():
-                G[r, vidx[v]] = -cf
-            h[r] = const
-            r += 1
-    c = np.zeros(n)
-    for v, cf in pre.obj_coeffs.items():
-        if v in vidx:
-            c[vidx[v]] = cf
-    return order, c, A, b, G, h, (l, qs)
-
-
-def _reconstruct_duals(pre, y, z_lin, z_cones):
+def _reconstruct_duals(pre, y, z):
     """Per-row duals on the original IR, recovering duals of presolved rows.
 
-    Rows eliminated while fixing a variable get duals from the stationarity
-    conditions of those variables (small least-squares solve); rows swallowed
-    by a collapsed cone block are reported as zero.
+    ``y`` and ``z`` are the presolved program's duals; scattered onto the
+    form's rows they leave a dropped row's dual at zero.  Rows eliminated
+    while fixing a variable get duals from the stationarity conditions
+    c + A'y + G'z = 0 of those variables (small least-squares solve); rows
+    swallowed by a collapsed cone block are reported as zero.
     """
-    ir = pre.ir
-    eq_duals = [0.0] * len(ir.equalities)
-    for row, yv in zip(pre.eqs, y):
-        if row["idx"] >= 0:
-            eq_duals[row["idx"]] = float(yv)
-    ineq_duals = [0.0] * len(ir.inequalities)
-    for row, zv in zip(pre.ineqs, z_lin):
-        if row["idx"] >= 0:
-            ineq_duals[row["idx"]] = float(zv)
-    cone_duals = [[0.0] * (1 + len(c.tail)) for c in ir.soc_cones]
-    for cone, zc in zip(pre.cones, z_cones):
-        cone_duals[cone["idx"]] = [float(v) for v in zc]
-
+    sf = pre.sf
+    y_full = np.zeros(len(sf.b))
+    y_full[pre.eq] = y[: len(pre.eq)]  # tail rows made equalities come last; no IR row
+    z_full = np.zeros(len(sf.h))
+    z_full[pre.g_rows] = z
     events = [
-        (idx, var, coef)
-        for idx, var, coef in pre.removed_eq_events
-        if idx >= 0 and var not in pre.cone_zero_vars
+        (row, j) for row, j, _ in pre.removed_eq_events if row >= 0 and j not in pre.cone_zero_vars
     ]
     if events:
-        # stationarity residual of each event variable under known duals
-        def grad(var):
-            g = float(pre.ir.objective.coeffs.get(var, 0.0))
-            for i, row in enumerate(ir.equalities):
-                if var in row.coeffs:
-                    g += row.coeffs[var] * eq_duals[i]
-            for i, row in enumerate(ir.inequalities):
-                if var in row.coeffs:
-                    g += row.coeffs[var] * ineq_duals[i]
-            for ci, cone in enumerate(ir.soc_cones):
-                zc = cone_duals[ci]
-                if var == cone.head:
-                    g -= zc[0]
-                for j, expr in enumerate(cone.tail):
-                    if var in expr.coeffs:
-                        g -= expr.coeffs[var] * zc[1 + j]
-            return g
-
-        M = np.zeros((len(events), len(events)))
-        rhs = np.zeros(len(events))
-        for a, (_, var, _) in enumerate(events):
-            rhs[a] = -grad(var)
-            for bidx, (row_idx, _, _) in enumerate(events):
-                M[a, bidx] = ir.equalities[row_idx].coeffs.get(var, 0.0)
+        rows, cols = (list(a) for a in zip(*events))
+        grad = sf.c[cols] + y_full @ sf.A[:, cols] + z_full @ sf.G[:, cols]
         try:
-            sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
+            sol = np.linalg.lstsq(sf.A[rows][:, cols].T, -grad, rcond=None)[0]
         except np.linalg.LinAlgError:
             sol = np.zeros(len(events))
-        for (row_idx, _, _), val in zip(events, sol):
-            eq_duals[row_idx] = float(val)
+        y_full[rows] = sol
     return {
-        "equalities": eq_duals,
-        "inequalities": ineq_duals,
-        "soc_cones": cone_duals,
+        "equalities": y_full.tolist(),
+        "inequalities": z_full[: pre.n_ineq].tolist(),
+        "soc_cones": [z_full[s : s + q].tolist() for s, q in zip(sf.starts, sf.dims[1])],
     }
 
 
-def _final_metrics(ir, primal):
-    """Primal feasibility of the full-variable solution on the original IR."""
-    worst_eq = 0.0
-    for row in ir.equalities:
-        val = sum(cf * primal[v] for v, cf in row.coeffs.items()) - row.rhs
-        worst_eq = max(worst_eq, abs(val))
-    worst_in = 0.0
-    for row in ir.inequalities:
-        val = sum(cf * primal[v] for v, cf in row.coeffs.items()) - row.rhs
-        worst_in = max(worst_in, val)
-    worst_cone = 0.0
-    for cone in ir.soc_cones:
-        norm = math.hypot(
-            *[
-                sum(cf * primal[v] for v, cf in e.coeffs.items()) + e.const
-                for e in cone.tail
-            ]
-        )
-        worst_cone = max(worst_cone, norm - primal[cone.head])
-    return max(worst_eq, worst_in, worst_cone, 0.0)
+def _final_metrics(pre, x):
+    """Primal feasibility of the full-variable solution ``x`` on the original IR.
+
+    The worst of |A x - b|, of the inequalities' violation and of each
+    cone's ||tail|| - head, all read from s = h - G x.
+    """
+    sf = pre.sf
+    s = sf.h - sf.G @ x
+    worst = [np.abs(sf.A @ x - sf.b).max(initial=0.0), (-s[: pre.n_ineq]).max(initial=0.0), 0.0]
+    s = s.tolist()
+    worst += [math.hypot(*s[i + 1 : i + q]) - s[i] for i, q in zip(sf.starts, sf.dims[1])]
+    return float(max(worst))
 
 
 class _Prepared:
     """One request, presolved, assembled and equilibrated, ready for a batch."""
 
-    def __init__(self, ir, pre, st):
-        self.ir, self.pre, self.st = ir, pre, st
-        self.order, self.c, self.A, self.b, self.G, self.h, self.dims = _assemble(pre)
-        pre.forget_rows()  # a batch holds many requests at once
+    def __init__(self, pre, st):
+        self.pre, self.st, self.dims = pre, st, pre.dims
+        self.c, self.A, self.b, self.G, self.h = pre.arrays()
         self.rA, self.rG, self.d = _ruiz_equilibrate(self.A, self.G, self.dims, st.ruiz_iter)
 
     @property
@@ -977,26 +943,17 @@ def _prepare(ir, fixings, st):
     try:
         pre = _Presolved(ir, fixings)
     except _Infeasible as inf:
-        return ConicSolution(
-            status=INFEASIBLE,
-            primal={},
-            duals={},
-            iterations=0,
-            info={"presolve": inf.reason, "certificate_residual": 0.0},
-        )
+        info = {"presolve": str(inf), "certificate_residual": 0.0}
+        return ConicSolution(INFEASIBLE, {}, {}, iterations=0, info=info)
     except _Unbounded as unb:
-        return ConicSolution(
-            status=UNBOUNDED, primal={}, duals={}, iterations=0, info={"presolve": unb.reason}
-        )
+        return ConicSolution(UNBOUNDED, {}, {}, iterations=0, info={"presolve": str(unb)})
 
-    if not pre.free_vars:
-        primal = {v: pre.fixed[v] for v in ir.variables}
-        obj = pre.obj_const
+    if not len(pre.free):
         return ConicSolution(
             status=OPTIMAL,
-            primal=primal,
-            duals=_reconstruct_duals(pre, [], [], []),
-            objective=obj,
+            primal={v: pre.fixed[j] for j, v in enumerate(pre.names)},
+            duals=_reconstruct_duals(pre, np.zeros(0), np.zeros(0)),
+            objective=pre.c0,
             gap=0.0,
             relgap=0.0,
             primal_residual=0.0,
@@ -1004,12 +961,12 @@ def _prepare(ir, fixings, st):
             iterations=0,
             info={"presolve": "fully determined"},
         )
-    return _Prepared(ir, pre, st)
+    return _Prepared(pre, st)
 
 
 def _conic_solution(req, raw):
     """The ConicSolution of a request from its raw interior-point result."""
-    ir, pre, st = req.ir, req.pre, req.st
+    pre, st = req.pre, req.st
     A, b, G, h, c = req.A, req.b, req.G, req.h, req.c
     rA, rG, d = req.rA, req.rG, req.d
     if raw["status"] == INFEASIBLE:
@@ -1017,29 +974,14 @@ def _conic_solution(req, raw):
         cert_z = raw["cert_z"] * rG
         denom = -(b @ cert_y + h @ cert_z)
         resid = np.linalg.norm(A.T @ cert_y + G.T @ cert_z) / max(denom, 1e-300)
-        return ConicSolution(
-            status=INFEASIBLE,
-            primal={},
-            duals={},
-            iterations=raw["iterations"],
-            info={"certificate_residual": float(resid)},
-        )
+        info = {"certificate_residual": float(resid)}
+        return ConicSolution(INFEASIBLE, {}, {}, iterations=raw["iterations"], info=info)
     if raw["status"] == UNBOUNDED:
-        return ConicSolution(
-            status=UNBOUNDED,
-            primal={},
-            duals={},
-            iterations=raw["iterations"],
-            info={"certificate_residual": float(raw.get("cert_residual", np.nan))},
-        )
+        info = {"certificate_residual": float(raw.get("cert_residual", np.nan))}
+        return ConicSolution(UNBOUNDED, {}, {}, iterations=raw["iterations"], info=info)
     if raw["status"] != OPTIMAL:
-        return ConicSolution(
-            status=NUMERICAL_FAILURE,
-            primal={},
-            duals={},
-            iterations=raw["iterations"],
-            info={k: raw.get(k) for k in ("pres", "dres", "gap", "relgap")},
-        )
+        info = {k: raw.get(k) for k in ("pres", "dres", "gap", "relgap")}
+        return ConicSolution(NUMERICAL_FAILURE, {}, {}, iterations=raw["iterations"], info=info)
 
     # Unscale and evaluate honest metrics on the original data.
     x = d * raw["x"]
@@ -1057,30 +999,16 @@ def _conic_solution(req, raw):
     )
     dres = np.linalg.norm(A.T @ y + G.T @ z + c) / max(1.0, np.linalg.norm(c))
     if max(pres, dres) > st.final_tol or relgap > 10 * st.final_tol:
-        return ConicSolution(
-            status=NUMERICAL_FAILURE,
-            primal={},
-            duals={},
-            iterations=raw["iterations"],
-            info={"pres": pres, "dres": dres, "relgap": relgap, "note": "post-unscale check"},
-        )
+        info = {"pres": pres, "dres": dres, "relgap": relgap, "note": "post-unscale check"}
+        return ConicSolution(NUMERICAL_FAILURE, {}, {}, iterations=raw["iterations"], info=info)
 
-    primal = dict(pre.fixed)
-    for v, val in zip(req.order, x):
-        primal[v] = float(val)
-    l = req.dims[0]
-    z_lin = z[:l]
-    z_cones = []
-    r = l
-    for qd in req.dims[1]:
-        z_cones.append(z[r : r + qd])
-        r += qd
-    duals = _reconstruct_duals(pre, y, z_lin, z_cones)
-    objective = pcost + pre.obj_const
+    primal = {pre.names[j]: val for j, val in pre.fixed.items()}
+    primal.update(zip([pre.names[j] for j in pre.free], x.tolist()))
+    objective = pcost + pre.c0
     return ConicSolution(
         status=OPTIMAL,
         primal=primal,
-        duals=duals,
+        duals=_reconstruct_duals(pre, y, z),
         objective=float(objective),
         gap=gap,
         relgap=float(relgap),
@@ -1088,8 +1016,8 @@ def _conic_solution(req, raw):
         dual_residual=float(dres),
         iterations=raw["iterations"],
         info={
-            "dcost": dcost + pre.obj_const,
-            "full_violation": _final_metrics(ir, primal),
+            "dcost": dcost + pre.c0,
+            "full_violation": _final_metrics(pre, np.array([primal[v] for v in pre.names])),
         },
     )
 

@@ -290,6 +290,15 @@ class TestRun:
         assert result.exit_code == 2
         assert not Path(cfg["output_dir"]).exists()
 
+    def test_inverted_voltage_limits_exit_2(self, small_config):
+        path, cfg = small_config
+        result = CliRunner().invoke(
+            cli.main, ["run", "--config", str(path), "--vmin", "1.06", "--vmax", "0.95"]
+        )
+        assert result.exit_code == 2
+        assert "voltage limits must satisfy v_min < v_max" in result.output
+        assert not Path(cfg["output_dir"]).exists()
+
     @pytest.mark.parametrize("case", sorted(NON_FINITE_INPUTS))
     def test_non_finite_input_exits_2(self, small_config, tmp_path, case):
         path, cfg = small_config
@@ -582,6 +591,19 @@ class TestVerify:
             ],
         )
         assert r.exit_code == 2
+
+    def test_non_numeric_linearization_exits_2(self, tmp_path):
+        runner = CliRunner()
+        lin_dir = tmp_path / "lin"
+        runner.invoke(cli.main, ["linearize", "--config", "5bus", "--out", str(lin_dir)])
+        (lin_dir / "K.csv").write_text("abc,1\n")
+        r = runner.invoke(
+            cli.main,
+            ["verify", "--config", "5bus", "--out", str(tmp_path / "rep")]
+            + ["--linearization", str(lin_dir)],
+        )
+        assert r.exit_code == 2, r.output
+        assert "error:" in r.output and "K.csv" in r.output
 
     def test_bad_input_makes_no_output_dir(self, tmp_path):
         out = tmp_path / "rep"

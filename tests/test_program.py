@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from mopsched import grid as G
+from mopsched import mip
 from mopsched.errors import ValidationError
 from mopsched.program import (
     UNCONSTRAINED,
@@ -18,13 +19,14 @@ from mopsched.program import (
     ConicProgramIR,
     ConverterSpec,
     Row,
+    StandardForm,
     TimestepInput,
     big_m_value,
     build_timestep_program,
     serialize_ir,
 )
 
-from conftest import BG5, PCC5, instance5
+from conftest import BG5, PCC5, instance5, instance33
 
 
 def counts(ir):
@@ -310,3 +312,99 @@ class TestIrInvariants:
                 binaries=("z",),
                 objective=AffExpr({"z": 1.0, "t": 1.0}),
             ).validate()
+
+
+def constant_tail_ir():
+    """min t + 2  s.t.  x + 2y = 3,  -x <= 0.5,  t >= ||(3, x - y + 0.25)||."""
+    return ConicProgramIR(
+        variables=("x", "t", "y"),
+        equalities=(Row({"y": 2.0, "x": 1.0}, 3.0),),
+        inequalities=(Row({"x": -1.0}, 0.5),),
+        soc_cones=(Cone(head="t", tail=(AffExpr({}, 3.0), AffExpr({"x": 1.0, "y": -1.0}, 0.25))),),
+        binaries=(),
+        objective=AffExpr({"t": 1.0}, 2.0),
+    ).validate()
+
+
+def dict_slacks(ir, x):
+    """What the dict IR gives at the point ``x`` (a name -> value dict): the
+    rows of A x - b, the rows of s = h - G x, and c'x + c0."""
+
+    def value(coeffs):
+        return sum(cf * x[v] for v, cf in coeffs.items())
+
+    eq = [value(r.coeffs) - r.rhs for r in ir.equalities]
+    s = [r.rhs - value(r.coeffs) for r in ir.inequalities]
+    for z in ir.binaries:
+        s += [1.0 - x[z], x[z]]
+    for cone in ir.soc_cones:
+        s += [x[cone.head]] + [value(e.coeffs) + e.const for e in cone.tail]
+    return eq, s, value(ir.objective.coeffs) + ir.objective.const
+
+
+class TestStandardForm:
+    @pytest.fixture
+    def programs(self, grid5, grid33, conv33, bg33):
+        return [
+            instance33(grid33, conv33, bg33, cardinality=2),
+            instance5(grid5, cardinality=1, p_der=0.12),
+            constant_tail_ir(),
+        ]
+
+    def test_rows_match_the_ir(self, programs):
+        rng = np.random.default_rng(11)
+        for ir in programs:
+            sf = ir.standard_form
+            x = rng.standard_normal(len(ir.variables))
+            eq, s, obj = dict_slacks(ir, dict(zip(ir.variables, x)))
+            assert np.allclose(sf.A @ x - sf.b, eq, rtol=1e-13, atol=1e-13)
+            assert np.allclose(sf.h - sf.G @ x, s, rtol=1e-13, atol=1e-13)
+            assert sf.c @ x + sf.c0 == pytest.approx(obj, rel=1e-13, abs=1e-13)
+
+    def test_cone_layout(self, programs):
+        for ir in programs:
+            sf = ir.standard_form
+            sizes = tuple(1 + len(cone.tail) for cone in ir.soc_cones)
+            assert sf.dims == (len(ir.inequalities) + 2 * len(ir.binaries), sizes)
+            assert sf.G.shape == (sf.dims[0] + sum(sizes), len(ir.variables))
+            for cone, start, head in zip(ir.soc_cones, sf.starts, sf.heads):
+                assert ir.variables[head] == cone.head
+                assert sf.G[start, head] == -1.0 and sf.h[start] == 0.0
+
+    def test_sparse_view_lists_the_nonzeros(self, programs):
+        """by_row and by_col hold [A; G]'s nonzeros outside the head rows, each once."""
+        for ir in programs:
+            sf = ir.standard_form
+            M = np.vstack([sf.A, sf.G])
+            M[[len(sf.b) + start for start in sf.starts]] = 0.0
+            for (ptr, index, value), matrix in ((sf.by_row, M), (sf.by_col, M.T)):
+                assert ptr[-1] == np.count_nonzero(M)
+                for r, row in enumerate(matrix):
+                    cols = np.flatnonzero(row)
+                    assert index[ptr[r] : ptr[r + 1]] == cols.tolist()
+                    assert value[ptr[r] : ptr[r + 1]] == row[cols].tolist()
+
+    def test_arrays_are_read_only(self, programs):
+        sf = programs[0].standard_form
+        for a in (sf.c, sf.A, sf.b, sf.G, sf.h):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_compiled_once_per_program(self, grid33, conv33, bg33, monkeypatch):
+        ir = instance33(grid33, conv33, bg33, cardinality=2)
+        compiled = []
+        compile_ = StandardForm.__init__
+
+        def counting(form, program):
+            compiled.append(program)
+            compile_(form, program)
+
+        monkeypatch.setattr(StandardForm, "__init__", counting)
+        ms = mip.solve_misocp(ir)
+        # the root, at least one more node and the verification solve
+        assert ms.status == "optimal" and ms.nodes_explored >= 2
+        assert len(compiled) == 1 and compiled[0] is ir
+        again = replace(ir, objective=AffExpr(dict(ir.objective.coeffs), 1.0))
+        assert again.standard_form is not ir.standard_form
+        assert again.standard_form.c0 == 1.0 and ir.standard_form.c0 == 0.0
+        assert len(compiled) == 2 and compiled[1] is again

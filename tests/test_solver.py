@@ -299,6 +299,34 @@ class TestFixings:
             S.solve_socp(ir, {"z[1]": 1.0})
 
 
+class TestPresolve:
+    def test_collapsed_cone_tail_with_two_free_variables_becomes_an_equality(self):
+        """t <= 0 collapses t >= ||x + y + u - 1.25||, with u = 0.25 fixed in the
+        same round: presolve adds x + y = 1, and min ||(x - 2, y)|| over it is
+        sqrt(1/2) at (1.5, -0.5)."""
+        ir = ConicProgramIR(
+            variables=("t", "x", "y", "u", "w"),
+            equalities=(Row({"u": 1.0}, 0.25),),
+            inequalities=(Row({"t": 1.0}, 0.0),),
+            soc_cones=(
+                Cone(head="t", tail=(AffExpr({"x": 1.0, "y": 1.0, "u": 1.0}, -1.25),)),
+                Cone(head="w", tail=(AffExpr({"x": 1.0}, -2.0), AffExpr({"y": 1.0}))),
+            ),
+            binaries=(),
+            objective=AffExpr({"w": 1.0}),
+        ).validate()
+        c, A, b, G, h = S._Presolved(ir, {}).arrays()
+        # the free columns x, y and w; u = 0.25 is folded into the right-hand side
+        assert A.tolist() == [[1.0, 1.0, 0.0]] and b.tolist() == [1.0]
+        sol = S.solve_socp(ir)
+        assert sol.status == S.OPTIMAL
+        assert sol.objective == pytest.approx(math.sqrt(0.5), abs=1e-7)
+        assert sol.primal["t"] == 0.0 and sol.primal["u"] == 0.25
+        assert sol.primal["x"] == pytest.approx(1.5, abs=1e-6)
+        assert sol.primal["y"] == pytest.approx(-0.5, abs=1e-6)
+        assert sol.info["full_violation"] <= 1e-8
+
+
 class TestRelaxationTightness:
     def test_tight_at_optimum(self, grid5):
         ir = instance5(grid5)

@@ -26,11 +26,13 @@ bits it would get alone:
 * Python's scalar ``min``/``max`` and ``**`` become ``np.where`` chains and
   ``np.float_power``.
 
-Each batch lays out its cones and fills the constant blocks of its KKT
-matrices once; an iteration writes only the -W^2 blocks.  ``solve_socp_many``
-groups requests by dimensions and settings and cuts each group into batches
-of at most ``_MAX_BATCH`` instances whose KKT, LU and W arrays fit
-``_BATCH_BYTES``; ``solve_socp`` and ``solve_conelp`` are batches of one.
+Each batch lays out its cones, allocates its KKT, LU and W stacks and fills
+the constant blocks of its KKT matrices once; an iteration writes the W
+blocks, the -W^2 blocks and the LU factors into those arrays and allocates
+none of its own size.  ``solve_socp_many`` groups requests by dimensions and
+settings and cuts each group into batches of at most ``_MAX_BATCH``
+instances whose KKT, LU and W arrays fit ``_BATCH_BYTES``; ``solve_socp``
+and ``solve_conelp`` are batches of one.
 
 Pipeline for a program IR:  take its standard form, compiled once per IR
 -> fix the given binaries, relax the others to [0, 1] by their bound rows
@@ -56,13 +58,14 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 NUMERICAL_FAILURE = "numerical_failure"
 
-# Bytes of KKT, LU and W arrays one batch may hold: 4 instances of an ieee33
-# branch-and-bound relaxation (KKT 136), 5 of an unconstrained ieee33
+# Bytes of KKT, LU and W arrays one batch may hold: 5 instances of an ieee33
+# branch-and-bound relaxation (KKT 136), 7 of an unconstrained ieee33
 # program (KKT 119), and more than _MAX_BATCH of a 5-bus one (KKT 39 to 48).
 _BATCH_BYTES = 2 << 20
-# Beyond this many instances a batch gains little per iteration, since each
-# numpy call's cost is already spread thin, while a bigger batch's window
-# holds more programs and searches in memory.
+# A wider batch still runs faster, but its window holds more programs and
+# searches in memory: in the benchmark's 5bus_der workload, batches of 48
+# cut the scaled horizon time from 0.87 to 0.71 s but raised the peak
+# resident size from 68.4 to 70.8 MiB (+3.5 %).
 _MAX_BATCH = 24
 
 
@@ -235,10 +238,14 @@ def _interior_violation(u, cones):
     return worst
 
 
-def _nt_scaling(s, z, cones):
-    """Dense NT scalings W (symmetric PD) with W z = W^-1 s = lam, per instance."""
+def _nt_scaling(s, z, cones, W):
+    """Dense NT scalings W (symmetric PD) with W z = W^-1 s = lam, per instance.
+
+    ``W`` is a (k', size, size) workspace, k' >= k, zero outside the cone
+    blocks; its first k matrices get the scalings, and are returned.
+    """
     k, l = len(s), cones.l
-    W = np.zeros((k, cones.size, cones.size))
+    W = W[:k]
     lam = np.zeros((k, cones.size))
     lin = np.arange(l)
     W[:, lin, lin] = np.sqrt(s[:, :l] / z[:, :l])
@@ -299,27 +306,29 @@ def _kkt_matrix(A, G):
     return K
 
 
-def _kkt_factor(K, W, reg, n):
+def _kkt_factor(K, W, reg, n, lu_ws):
     """Write -W^2 into the KKT stack and LU-factor each instance; returns a (lu, piv) each.
 
     The factored matrix is K plus the static regularization, +reg on the
-    ``n`` x rows and -reg on the others, copied into Fortran order, the
-    layout getrf works in.
+    ``n`` x rows and -reg on the others.  It is copied transposed into the
+    (k', dim, dim) workspace ``lu_ws``, k' >= k, so that each instance's
+    matrix is the Fortran-ordered transpose getrf works in, and is factored
+    there in place: each ``lu`` is a view of ``lu_ws``.
     """
     q = W.shape[-1]
-    dim = K.shape[-1]
+    k, dim = K.shape[:2]
     block = K[:, dim - q :, dim - q :]
     np.matmul(W, W, out=block)
     np.negative(block, out=block)
     if not np.isfinite(block).all():
         raise ValueError(_NONFINITE)  # the other blocks were checked by _kkt_matrix
+    KT = lu_ws[:k]
+    np.copyto(KT, K.transpose(0, 2, 1))
     diag = np.arange(dim)
-    shifted = K[:, diag, diag] + np.where(diag < n, reg, -reg)
+    KT[:, diag, diag] += np.where(diag < n, reg, -reg)
     lus = []
-    for Ki, di in zip(K, shifted):
-        Kreg = np.array(Ki, order="F")
-        Kreg[diag, diag] = di
-        lu, piv, info = scipy.linalg.lapack.dgetrf(Kreg, overwrite_a=True)
+    for KTi in KT:
+        lu, piv, info = scipy.linalg.lapack.dgetrf(KTi.T, overwrite_a=True)
         if info < 0:
             raise ValueError(f"illegal value in {-info}th argument of internal getrf")
         if info > 0:
@@ -374,7 +383,8 @@ class _Live:
     ``data`` holds each instance's program and KKT matrix, ``v`` its iterate
     [x, y, z, s, tau, kappa] in one row, ``best``, ``best_score`` and
     ``best_metrics`` its best-scoring iterate so far, and ``ids`` its
-    position in the batch.
+    position in the batch.  The KKT stack ``data["K"]`` is the leading rows
+    of the batch's own array, compacted in place when rows leave.
     """
 
     def __init__(self, data, v, traces):
@@ -390,9 +400,12 @@ class _Live:
         """Remove the rows where the mask ``rows`` holds."""
         keep = ~rows
         self.ids = self.ids[keep]
-        # one array at a time, so that only one is held twice
+        K = self.data["K"]
+        for j, i in enumerate(np.flatnonzero(keep)):
+            if i != j:
+                K[j] = K[i]
         for key in self.data:
-            self.data[key] = self.data[key][keep]
+            self.data[key] = K[: len(self.ids)] if key == "K" else self.data[key][keep]
         self.v, self.best = self.v[keep], self.best[keep]
         self.best_score, self.best_metrics = self.best_score[keep], self.best_metrics[keep]
         self.traces = [t for t, kept in zip(self.traces, keep) if kept]
@@ -420,10 +433,15 @@ def _solve_conelp_batch(c, A, b, G, h, dims, st, traces):
     def split(v):
         return [v[:, cut[i] : cut[i + 1]] for i in range(4)]
 
+    # The batch's workspace, its only (k, dim, dim) and (k, q, q) arrays:
+    # the KKT stack, the LU stack factored in place and the NT scalings.
+    K = _kkt_matrix(A, G)
+    lu_ws = np.empty_like(K)
+    W_ws = np.zeros((k, q, q))
+
     # Initial point: least-squares primal/dual solves at W = I, shifted into
     # the cone interior.
-    K = _kkt_matrix(A, G)
-    lus = _kkt_factor(K, np.broadcast_to(np.eye(q), (k, q, q)), st.reg, n)
+    lus = _kkt_factor(K, np.broadcast_to(np.eye(q), (k, q, q)), st.reg, n, lu_ws)
     sol_p = _kkt_solve(lus, K, np.concatenate([np.zeros((k, n)), b, h], axis=1), st.refine)
     sol_d = _kkt_solve(lus, K, np.concatenate([-c, np.zeros((k, p + q))], axis=1), st.refine)
     del lus
@@ -483,8 +501,8 @@ def _solve_conelp_batch(c, A, b, G, h, dims, st, traces):
         kk = len(tau)
 
         mu = (np.vecdot(s, z) + tau * kappa) / (deg + 1)
-        W, lam = _nt_scaling(s, z, cones)
-        lus = _kkt_factor(K, W, st.reg, n)
+        W, lam = _nt_scaling(s, z, cones, W_ws)
+        lus = _kkt_factor(K, W, st.reg, n, lu_ws)
         u1 = _kkt_solve(lus, K, d["rhs1"], st.refine)
         den = (
             np.vecdot(c, u1[:, :n]) + np.vecdot(b, u1[:, n : n + p]) + np.vecdot(h, u1[:, n + p :])
@@ -1026,13 +1044,14 @@ def _batch_size(n, p, q):
     """Instances per batch: as many as keep their KKT, LU and W arrays in
     _BATCH_BYTES, and at most _MAX_BATCH.
 
-    Each instance counts its KKT matrix, its LU factors, its W and one more
-    KKT-sized array: these arrays are freed and allocated anew every
-    iteration, so the resident size of the process peaks above what is live
-    at any one moment.
+    A batch allocates these arrays once, before its first iteration, and
+    every iteration writes into them, so an instance holds exactly its KKT
+    matrix, its LU factors and its W: 8 (2 dim^2 + q^2) bytes.  That gives
+    7 unconstrained ieee33 programs (KKT 119) a batch, 5 ieee33 B&B
+    relaxations (KKT 136) and _MAX_BATCH 5-bus ones (KKT 39 to 48).
     """
     dim = n + p + q
-    return max(1, min(_MAX_BATCH, _BATCH_BYTES // (8 * (3 * dim * dim + q * q))))
+    return max(1, min(_MAX_BATCH, _BATCH_BYTES // (8 * (2 * dim * dim + q * q))))
 
 
 def _solve_requests(requests, traces):

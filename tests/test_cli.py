@@ -3,6 +3,9 @@
 import collections
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from mopsched import __main__ as entry
 from mopsched import cli, mission
 
 from conftest import fail_solve_when
@@ -677,3 +681,52 @@ class TestEc:
         )
         assert r.exit_code == 2, r.output
         assert "finite" in r.output
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def python_m(args, cwd, **blas):
+    """Run ``python`` on ``args`` with mopsched importable, the BLAS thread
+    variables removed from the environment and ``blas`` set."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(blas)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=600
+    )
+
+
+class TestEntryPoint:
+    """The ``mopsched`` command pins BLAS to one thread, unless the variable
+    is set already; the library pins nothing."""
+
+    def test_unset_threads_write_the_pinned_bytes(self, tmp_path):
+        written = []
+        for name, blas in (("unset", {}), ("pinned", dict.fromkeys(BLAS_VARS, "1"))):
+            out = tmp_path / name
+            args = ["-m", "mopsched", "run", "--config", "5bus", "--out", str(out)]
+            proc = python_m(args, tmp_path, **blas)
+            assert proc.returncode == 0, proc.stderr
+            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert written[0] and written[0] == written[1]
+
+    def test_a_set_variable_is_left_alone(self, monkeypatch):
+        for var in BLAS_VARS:
+            monkeypatch.setenv(var, "")  # restored at teardown, set or not
+            monkeypatch.delenv(var)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        seen = {}
+        monkeypatch.setattr(cli, "main", lambda: seen.update({v: os.environ.get(v) for v in BLAS_VARS}))
+        entry.main()
+        assert seen == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+    def test_importing_the_library_sets_nothing(self, tmp_path):
+        code = (
+            "import os, mopsched, mopsched.cli, mopsched.__main__; "
+            f"print([v for v in {BLAS_VARS!r} if v in os.environ])"
+        )
+        proc = python_m(["-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

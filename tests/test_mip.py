@@ -188,7 +188,7 @@ class TestBatchWidth:
     """A horizon solves its timesteps in windows of ``_batch_width``; a wider
     window holds more programs and searches at once and raises peak memory."""
 
-    @pytest.mark.parametrize("n, width", [(UNCONSTRAINED, 5), (1, 4), (2, 4), (3, 4)])
+    @pytest.mark.parametrize("n, width", [(UNCONSTRAINED, 7), (1, 5), (2, 5), (3, 5)])
     def test_ieee33(self, grid33, conv33, bg33, n, width):
         assert M._batch_width(instance33(grid33, conv33, bg33, cardinality=n)) == width
 

@@ -70,7 +70,7 @@ class TestConeAlgebra:
         n = min(len(s_tail), len(z_tail))
         s, z = s_tail[:n], z_tail[:n]
         cones = S._Cones((0, [n]))
-        (W,), (lam,) = S._nt_scaling(s[None], z[None], cones)
+        (W,), (lam,) = S._nt_scaling(s[None], z[None], cones, np.zeros((1, n, n)))
         assert np.allclose(W, W.T, atol=1e-10)
         assert np.allclose(W @ z, lam, atol=1e-8 * max(1, np.abs(lam).max()))
         assert np.allclose(
@@ -90,7 +90,7 @@ class TestConeAlgebra:
         cones = S._Cones((3, []))
         s = np.array([1.0, 2.0, 4.0])
         z = np.array([4.0, 2.0, 1.0])
-        (W,), (lam,) = S._nt_scaling(s[None], z[None], cones)
+        (W,), (lam,) = S._nt_scaling(s[None], z[None], cones, np.zeros((1, 3, 3)))
         assert np.allclose(np.diag(W), np.sqrt(s / z))
         assert np.allclose(lam, np.sqrt(s * z))
         (step,) = S._max_step(s[None], np.array([[-1.0, -4.0, 1.0]]), cones)
@@ -402,8 +402,9 @@ class TestKktLapack:
     def assert_bitwise_equal_to_wrappers(self, A, G, Ws, rhss, reg=1e-11):
         # one KKT matrix serves every scaling in turn, as in a solve
         K = S._kkt_matrix(A[None], G[None])
+        lu_ws = np.empty_like(K)
         for W in Ws:
-            lu = S._kkt_factor(K, W[None], reg, A.shape[1])
+            lu = S._kkt_factor(K, W[None], reg, A.shape[1], lu_ws)
             for rhs in rhss:
                 for refine in (0, 2):
                     (got,) = S._kkt_solve(lu, K, rhs[None], refine)
@@ -419,9 +420,9 @@ class TestKktLapack:
             seen.update(A=A[0].copy(), G=G[0].copy())
             return kkt_matrix(A, G)
 
-        def recording_factor(K, W, reg, n):
+        def recording_factor(K, W, reg, n, lu_ws):
             seen["W"].append(W[0].copy())
-            return kkt_factor(K, W, reg, n)
+            return kkt_factor(K, W, reg, n, lu_ws)
 
         monkeypatch.setattr(S, "_kkt_matrix", recording_matrix)
         monkeypatch.setattr(S, "_kkt_factor", recording_factor)
@@ -451,13 +452,13 @@ class TestKktLapack:
         K = S._kkt_matrix(A[None], G[None])
         W[3, 3] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
-            S._kkt_factor(K, W[None], 1e-11, 4)
+            S._kkt_factor(K, W[None], 1e-11, 4, np.empty_like(K))
 
     def test_nan_in_rhs_rejected(self):
         rng = np.random.default_rng(2)
         A, G, (W,) = random_kkt_data(rng, 4, 2, 5, 1)
         K = S._kkt_matrix(A[None], G[None])
-        lu = S._kkt_factor(K, W[None], 1e-11, 4)
+        lu = S._kkt_factor(K, W[None], 1e-11, 4, np.empty_like(K))
         rhs = rng.standard_normal(11)
         rhs[7] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
@@ -469,7 +470,68 @@ class TestKktLapack:
         G = np.array([[1.0, 0.0], [2.0, 0.0]])
         K = S._kkt_matrix(A[None], G[None])
         with pytest.warns(scipy.linalg.LinAlgWarning, match="exactly zero"):
-            S._kkt_factor(K, np.eye(2)[None], 0.0, 2)
+            S._kkt_factor(K, np.eye(2)[None], 0.0, 2, np.empty_like(K))
+
+
+def assert_same_raw(got, want):
+    """Two raw interior-point results with the same keys and bits."""
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert got[key].tobytes() == value.tobytes(), key
+        else:
+            assert got[key] == value, key
+
+
+class TestBatchWorkspace:
+    """A batch allocates its KKT, LU and W stacks once, and iterates in them."""
+
+    @staticmethod
+    def middle_first(grid5):
+        """Three scaled 5-bus programs of equal dimensions, the middle one
+        finishing in fewer iterations than the other two."""
+        reqs = [
+            S._prepare(instance5(grid5, bg={b: f * s for b, s in BG5.items()}), {}, S.SolverSettings())
+            for f in (0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4)
+        ]
+        lone = [S.solve_conelp(*req.scaled(), req.dims) for req in reqs]
+        order = np.argsort([raw["iterations"] for raw in lone], kind="stable")
+        first, later = order[0], order[-2:]
+        assert lone[first]["iterations"] < min(lone[i]["iterations"] for i in later)
+        picked = [later[0], first, later[1]]
+        return [reqs[i] for i in picked], [lone[i] for i in picked]
+
+    def test_rows_move_down_when_the_middle_finishes(self, grid5):
+        reqs, lone = self.middle_first(grid5)
+        stacks = [np.stack(arrays) for arrays in zip(*(req.scaled() for req in reqs))]
+        raws = S._solve_conelp_batch(*stacks, reqs[0].dims, S.SolverSettings(), [None] * 3)
+        for got, want in zip(raws, lone):
+            assert got["status"] == S.OPTIMAL
+            assert_same_raw(got, want)
+
+    def test_every_iteration_writes_into_the_workspace(self, grid5, monkeypatch):
+        reqs, _ = self.middle_first(grid5)
+        calls = []
+        kkt_factor = S._kkt_factor
+
+        def recording(K, W, reg, n, lu_ws):
+            lus = kkt_factor(K, W, reg, n, lu_ws)
+            calls.append((K, W, lu_ws, lus))
+            return lus
+
+        monkeypatch.setattr(S, "_kkt_factor", recording)
+        stacks = [np.stack(arrays) for arrays in zip(*(req.scaled() for req in reqs))]
+        S._solve_conelp_batch(*stacks, reqs[0].dims, S.SolverSettings(), [None] * 3)
+        K0, _, lu_ws, _ = calls[0]
+        W_ws = calls[1][1]
+        assert len(calls) > 10 and lu_ws.shape == K0.shape == (3,) + K0.shape[1:]
+        for K, W, ws, lus in calls:
+            assert ws is lu_ws and np.shares_memory(K, K0)
+            # a copy made by the LAPACK wrapper would double the LU footprint
+            assert all(np.shares_memory(lu, lu_ws) for lu, _ in lus)
+        assert all(np.shares_memory(W, W_ws) for _, W, _, _ in calls[1:])
+        # the first call's W is the identity, a broadcast view of no stack
+        assert calls[0][1].strides[0] == 0
 
 
 class TestSolvesShareNoState:
@@ -565,5 +627,6 @@ class TestSolveSocpMany:
         assert (S.OPTIMAL, "fully determined") in statuses
         assert any(s == S.INFEASIBLE and p for s, p in statuses)
         # the 5-bus group of four shares one batch, or the budget splits it
-        # into batches of two (KKT 39, W 21: 40,032 bytes an instance) or of one
-        assert max(batches) == {S._BATCH_BYTES: 4, 100_000: 2, 1: 1}[budget]
+        # into batches of three (KKT 39, W 21: 8 (2 39^2 + 21^2) = 27,864
+        # bytes an instance) or of one
+        assert max(batches) == {S._BATCH_BYTES: 4, 100_000: 3, 1: 1}[budget]

@@ -2,11 +2,15 @@
 
 Usage (from the repository root):
 
-    python3 tools/artifact_digest.py [WORKLOAD ...]
+    python3 tools/artifact_digest.py [WORKLOAD | WORKLOAD:CONFIG_SEED ...]
 
 Runs each config seed that ``perfbench/reference.json`` records for the named
 workloads, or for all three benchmark workloads (160 horizons) when none is
-named, with each run-config document built by
+named; ``WORKLOAD:CONFIG_SEED`` runs that one horizon, for example
+``ieee33_card2:2007 ieee33_card2:12 ieee33_card2:2012``, the horizons that
+end with ``error`` timesteps.  An unknown workload, or a seed the reference
+lacks, exits with a message before anything runs.  Each run-config document
+is built by
 ``perfbench/workloads.config_docs`` and run through ``cli.run``, as the
 benchmark runs it.  Prints one line per horizon, ``<workload> <config seed>
 <sha256>``, the SHA-256 being taken over the horizon's output files in sorted
@@ -49,22 +53,32 @@ def directory_digest(outdir):
     return h.hexdigest()
 
 
-def main(names):
+def horizons(args, reference):
+    """The (workload, config seed) pairs that ``args`` name, in print order."""
+    pairs = set()
+    for arg in args or reference:
+        name, _, seed = arg.partition(":")
+        if name not in reference:
+            sys.exit(f"unknown workload {name!r}; known: {sorted(reference)}")
+        if seed and seed not in reference[name]:
+            sys.exit(f"config seed {seed!r} of {name} is not in perfbench/reference.json")
+        pairs.update((name, s) for s in ([seed] if seed else reference[name]))
+    return sorted(pairs, key=lambda pair: (pair[0], int(pair[1])))
+
+
+def main(args):
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
-    unknown = sorted(set(names) - set(reference))
-    if unknown:
-        sys.exit(f"unknown workloads {unknown}; known: {sorted(reference)}")
+    pairs = horizons(args, reference)
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(names or reference):
-            for seed in sorted(reference[name], key=int):
-                # the reference is keyed by config seed; a run's first
-                # document carries the workload seed as its config seed
-                doc = workloads.config_docs(ROOT, name, int(seed), tmp)[0]
-                cli.run(cli.load_config(doc))
-                line = f"{name} {seed} {directory_digest(Path(doc['output_dir']))}"
-                print(line, flush=True)
-                total.update(line.encode() + b"\n")
+        for name, seed in pairs:
+            # the reference is keyed by config seed; a run's first document
+            # carries the workload seed as its config seed
+            doc = workloads.config_docs(ROOT, name, int(seed), tmp)[0]
+            cli.run(cli.load_config(doc))
+            line = f"{name} {seed} {directory_digest(Path(doc['output_dir']))}"
+            print(line, flush=True)
+            total.update(line.encode() + b"\n")
     print(f"total {total.hexdigest()}")
 
 

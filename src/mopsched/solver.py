@@ -30,15 +30,17 @@ Each batch lays out its cones, allocates its KKT, LU and W stacks and fills
 the constant blocks of its KKT matrices once; an iteration writes the W
 blocks, the -W^2 blocks and the LU factors into those arrays and allocates
 none of its own size.  ``solve_socp_many`` groups requests by dimensions and
-settings and cuts each group into batches of at most ``_MAX_BATCH``
-instances whose KKT, LU and W arrays fit ``_BATCH_BYTES``; ``solve_socp``
-and ``solve_conelp`` are batches of one.
+settings, cuts each group into batches of as many instances as fit their
+KKT, LU and W arrays in ``_BATCH_BYTES`` (bytes alone set the width), and
+equilibrates each batch's stacked programs together; ``solve_socp`` and
+``solve_conelp`` are batches of one.
 
 Pipeline for a program IR:  take its standard form, compiled once per IR
 -> fix the given binaries, relax the others to [0, 1] by their bound rows
 -> substitution presolve, which selects rows and columns of the form ->
-Ruiz equilibration -> interior-point solve -> unscale -> full-variable
-solution, and per-row duals scattered back onto the form's rows.
+Ruiz equilibration of the batch's stacks -> interior-point solve -> unscale
+-> full-variable solution, and per-row duals scattered back onto the form's
+rows.
 """
 
 from __future__ import annotations
@@ -58,15 +60,15 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 NUMERICAL_FAILURE = "numerical_failure"
 
-# Bytes of KKT, LU and W arrays one batch may hold: 5 instances of an ieee33
-# branch-and-bound relaxation (KKT 136), 7 of an unconstrained ieee33
-# program (KKT 119), and more than _MAX_BATCH of a 5-bus one (KKT 39 to 48).
+# Bytes of KKT, LU and W arrays one batch may hold, the only bound on its
+# width: 5 instances of an ieee33 branch-and-bound relaxation (KKT 136), 7 of
+# an unconstrained ieee33 program (KKT 119), 45 of a 5-bus DER program with
+# binaries (KKT 50) and 68 of an unconstrained one (KKT 41).  A horizon's
+# windows are as wide (mip._batch_width), so a wider batch also holds more
+# programs and searches in memory: 5-bus windows of 45 and 68 run the
+# benchmark's 5bus_der workload about a fifth faster than windows of 24,
+# for about 3 % more peak resident memory.
 _BATCH_BYTES = 2 << 20
-# A wider batch still runs faster, but its window holds more programs and
-# searches in memory: in the benchmark's 5bus_der workload, batches of 48
-# cut the scaled horizon time from 0.87 to 0.71 s but raised the peak
-# resident size from 68.4 to 70.8 MiB (+3.5 %).
-_MAX_BATCH = 24
 
 
 @dataclass(frozen=True)
@@ -634,25 +636,38 @@ def _solve_conelp_batch(c, A, b, G, h, dims, st, traces):
 
 
 def _ruiz_equilibrate(A, G, dims, iters):
-    """Row/column scales for [A; G]; SOC blocks share one row scale."""
-    p, q = A.shape[0], G.shape[0]
-    n = G.shape[1]
-    M = np.vstack([A, G]) if p else G.copy()
+    """Row and column scales of each instance of the (k, rows, cols) stacks
+    [A; G]; an SOC block's rows share one scale.
+
+    Every element is scaled, compared and divided as in a lone
+    equilibration (maxima are exact), so each instance gets its own bits.
+    """
+    k, p, n = A.shape
+    M = np.concatenate([A, G], axis=1)
     l, qs = dims
     offsets = np.cumsum([0] + list(qs[:-1]))  # of the cone blocks, from row p + l
-    r = np.ones(p + q)
-    d = np.ones(n)
+    r = np.ones(M.shape[:2])
+    d = np.ones((k, n))
     for _ in range(iters):
-        Ms = np.abs(r[:, None] * M * d[None, :])
-        rn = Ms.max(axis=1)
+        Ms = np.abs(r[:, :, None] * M * d[:, None, :])
+        rn = Ms.max(axis=2)
         rn[rn == 0] = 1.0
         if len(qs):
-            rn[p + l :] = np.repeat(np.maximum.reduceat(rn[p + l :], offsets), qs)
-        cn = Ms.max(axis=0)
+            rn[:, p + l :] = np.repeat(np.maximum.reduceat(rn[:, p + l :], offsets, axis=1), qs, axis=1)
+        cn = Ms.max(axis=1)
         cn[cn == 0] = 1.0
         r /= np.sqrt(rn)
         d /= np.sqrt(cn)
-    return r[:p], r[p:], d
+    return r[:, :p], r[:, p:], d
+
+
+def _scaled_batch(reqs):
+    """The equilibrated (c, A, b, G, h) stacks that the interior-point method
+    solves for requests of one key, and per request its (rA, rG, d) scales."""
+    c, A, b, G, h = (np.stack(arrays) for arrays in zip(*(req.arrays for req in reqs)))
+    rA, rG, d = _ruiz_equilibrate(A, G, reqs[0].dims, reqs[0].st.ruiz_iter)
+    As, Gs = rA[:, :, None] * A * d[:, None, :], rG[:, :, None] * G * d[:, None, :]
+    return (d * c, As, rA * b, Gs, rG * h), list(zip(rA, rG, d))
 
 
 # --- presolve over the standard form -------------------------------------------
@@ -935,25 +950,18 @@ def _final_metrics(pre, x):
 
 
 class _Prepared:
-    """One request, presolved, assembled and equilibrated, ready for a batch."""
+    """One request, presolved and assembled, ready for a batch."""
 
     def __init__(self, pre, st):
         self.pre, self.st, self.dims = pre, st, pre.dims
-        self.c, self.A, self.b, self.G, self.h = pre.arrays()
-        self.rA, self.rG, self.d = _ruiz_equilibrate(self.A, self.G, self.dims, st.ruiz_iter)
+        self.arrays = pre.arrays()  # c, A, b, G, h
 
     @property
     def key(self):
         """Requests with equal keys can share a batch."""
+        c, _, b, _, _ = self.arrays
         l, qs = self.dims
-        return len(self.c), len(self.b), l, tuple(qs), self.st
-
-    def scaled(self):
-        """The equilibrated (c, A, b, G, h) the interior-point method solves."""
-        rA, rG, d = self.rA, self.rG, self.d
-        As = rA[:, None] * self.A * d[None, :] if len(self.b) else self.A
-        Gs = rG[:, None] * self.G * d[None, :]
-        return d * self.c, As, rA * self.b, Gs, rG * self.h
+        return len(c), len(b), l, tuple(qs), self.st
 
 
 def _prepare(ir, fixings, st):
@@ -982,11 +990,12 @@ def _prepare(ir, fixings, st):
     return _Prepared(pre, st)
 
 
-def _conic_solution(req, raw):
-    """The ConicSolution of a request from its raw interior-point result."""
+def _conic_solution(req, raw, scales):
+    """The ConicSolution of a request from its raw interior-point result and
+    its (rA, rG, d) scales."""
     pre, st = req.pre, req.st
-    A, b, G, h, c = req.A, req.b, req.G, req.h, req.c
-    rA, rG, d = req.rA, req.rG, req.d
+    c, A, b, G, h = req.arrays
+    rA, rG, d = scales
     if raw["status"] == INFEASIBLE:
         cert_y = raw["cert_y"] * rA if len(b) else raw["cert_y"]
         cert_z = raw["cert_z"] * rG
@@ -1042,16 +1051,16 @@ def _conic_solution(req, raw):
 
 def _batch_size(n, p, q):
     """Instances per batch: as many as keep their KKT, LU and W arrays in
-    _BATCH_BYTES, and at most _MAX_BATCH.
+    _BATCH_BYTES.
 
     A batch allocates these arrays once, before its first iteration, and
     every iteration writes into them, so an instance holds exactly its KKT
     matrix, its LU factors and its W: 8 (2 dim^2 + q^2) bytes.  That gives
     7 unconstrained ieee33 programs (KKT 119) a batch, 5 ieee33 B&B
-    relaxations (KKT 136) and _MAX_BATCH 5-bus ones (KKT 39 to 48).
+    relaxations (KKT 136), and 45 to 75 5-bus programs (KKT 50 to 39).
     """
     dim = n + p + q
-    return max(1, min(_MAX_BATCH, _BATCH_BYTES // (8 * (2 * dim * dim + q * q))))
+    return max(1, _BATCH_BYTES // (8 * (2 * dim * dim + q * q)))
 
 
 def _solve_requests(requests, traces):
@@ -1072,13 +1081,13 @@ def _solve_requests(requests, traces):
         size = _batch_size(n, p, l + sum(qs))
         for start in range(0, len(members), size):
             batch = members[start : start + size]
-            stacks = [np.stack(arrays) for arrays in zip(*(req.scaled() for _, req in batch))]
+            stacks, scales = _scaled_batch([req for _, req in batch])
             try:
                 raws = _solve_conelp_batch(*stacks, (l, list(qs)), st, [traces[i] for i, _ in batch])
             except MopschedError as exc:
                 raws = [exc] * len(batch)
-            for (i, req), raw in zip(batch, raws):
-                out[i] = raw if isinstance(raw, MopschedError) else _conic_solution(req, raw)
+            for (i, req), raw, sc in zip(batch, raws, scales):
+                out[i] = raw if isinstance(raw, MopschedError) else _conic_solution(req, raw, sc)
     return out
 
 

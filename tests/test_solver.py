@@ -10,6 +10,7 @@ one-at-a-time solves.
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from hypothesis import given, settings as hsettings, strategies as st
 from mopsched import oracle as O
 from mopsched import solver as S
 from mopsched.errors import MopschedError, ValidationError
-from mopsched.program import AffExpr, Cone, ConicProgramIR, Row
+from mopsched.program import AffExpr, Cone, ConicProgramIR, ConverterSpec, Row
 
-from conftest import BG5, assert_same_solution, instance5, instance33
+from conftest import BG5, PCC5, assert_same_solution, instance5, instance33
 
 
 def make_min_norm_ir():
@@ -483,6 +484,117 @@ def assert_same_raw(got, want):
             assert got[key] == value, key
 
 
+def ruiz_one(req):
+    """The equilibrated (c, A, b, G, h) of one request and its (rA, rG, d),
+    by the per-instance equilibration that the batched one replaced."""
+    c, A, b, G, h = req.arrays
+    p, q = A.shape[0], G.shape[0]
+    n = G.shape[1]
+    M = np.vstack([A, G]) if p else G.copy()
+    l, qs = req.dims
+    offsets = np.cumsum([0] + list(qs[:-1]))
+    r = np.ones(p + q)
+    d = np.ones(n)
+    for _ in range(req.st.ruiz_iter):
+        Ms = np.abs(r[:, None] * M * d[None, :])
+        rn = Ms.max(axis=1)
+        rn[rn == 0] = 1.0
+        if len(qs):
+            rn[p + l :] = np.repeat(np.maximum.reduceat(rn[p + l :], offsets), qs)
+        cn = Ms.max(axis=0)
+        cn[cn == 0] = 1.0
+        r /= np.sqrt(rn)
+        d /= np.sqrt(cn)
+    rA, rG = r[:p], r[p:]
+    As = rA[:, None] * A * d[None, :] if len(b) else A
+    return (d * c, As, rA * b, rG[:, None] * G * d[None, :], rG * h), (rA, rG, d)
+
+
+class TestBatchedEquilibration:
+    """A batch's stacks are equilibrated together, each instance to the bits
+    of its own equilibration."""
+
+    @staticmethod
+    def assert_as_one_at_a_time(reqs):
+        stacks, scales = S._scaled_batch(reqs)
+        for i, req in enumerate(reqs):
+            want_stacks, want_scales = ruiz_one(req)
+            for got, want in zip([a[i] for a in stacks] + list(scales[i]), want_stacks + want_scales):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        return stacks
+
+    @staticmethod
+    def prepared(irs, st=S.SolverSettings()):
+        reqs = [S._prepare(ir, {}, st) for ir in irs]
+        assert len({req.key for req in reqs}) == 1
+        return reqs
+
+    def test_5bus(self, grid5):
+        irs = [
+            instance5(grid5, conv5(k, 0.12), cardinality=1, p_der=0.12, bg={b: f * s for b, s in BG5.items()})
+            for k, f in ((0.01, 1.0), (0.02, 0.7), (0.05, 1.3), (0.003, 0.4))
+        ]
+        G = self.assert_as_one_at_a_time(self.prepared(irs))[3]
+        assert not np.array_equal(G[0], G[1])
+
+    def test_ieee33(self, grid33, conv33, bg33):
+        irs = [
+            instance33(grid33, replace(conv33, k=k), {bus: f * s for bus, s in bg33.items()}, cardinality=2)
+            for k, f in ((0.01, 1.0), (0.03, 0.6), (0.002, 1.2))
+        ]
+        self.assert_as_one_at_a_time(self.prepared(irs))
+
+    def test_no_iterations(self, grid5):
+        reqs = self.prepared([instance5(grid5, conv5(k)) for k in (0.01, 0.04)], S.SolverSettings(ruiz_iter=0))
+        stacks = self.assert_as_one_at_a_time(reqs)
+        for got, want in zip(stacks, zip(*(req.arrays for req in reqs))):
+            assert got.tobytes() == np.stack(want).tobytes()
+
+    def test_no_equality_rows(self):
+        """min t s.t. t >= ||(a x, y / a)||, x + y >= 1, x - y <= 1/2."""
+        irs = [
+            ConicProgramIR(
+                variables=("t", "x", "y"),
+                equalities=(),
+                inequalities=(Row({"x": -1.0, "y": -1.0}, -1.0), Row({"x": a, "y": -a}, 0.5 * a)),
+                soc_cones=(Cone(head="t", tail=(AffExpr({"x": a}), AffExpr({"y": 1.0 / a}))),),
+                binaries=(),
+                objective=AffExpr({"t": 1.0}),
+            ).validate()
+            for a in (1.0, 30.0, 0.02)
+        ]
+        _, A, b, _, _ = self.assert_as_one_at_a_time(self.prepared(irs))
+        assert A.shape == (3, 0, 3) and b.shape == (3, 0)
+
+    def test_random_programs(self):
+        """Entries over six decades, a zero row and a zero column: scales and
+        products whose rounding any other order of operations would move."""
+        rng = np.random.default_rng(5)
+
+        def request():
+            def entries(*shape):
+                return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+
+            A, G = entries(2, 6), entries(10, 6)
+            G[4] = 0.0
+            A[:, 5] = G[:, 5] = 0.0
+            arrays = rng.standard_normal(6), A, rng.standard_normal(2), G, rng.standard_normal(10)
+            return SimpleNamespace(arrays=arrays, dims=(3, [3, 4]), st=S.SolverSettings())
+
+        A = self.assert_as_one_at_a_time([request() for _ in range(5)])[1]
+        assert not np.array_equal(A[0], A[1])
+
+
+def conv5(k, p_der=0.0):
+    """The 5-bus test converter with loss coefficient ``k``."""
+    return ConverterSpec(pcc_buses=tuple(PCC5), s_total=0.4, k=k, has_dc_der=p_der != 0.0)
+
+
+def scaled(reqs):
+    """The equilibrated stacks of a batch of requests."""
+    return S._scaled_batch(reqs)[0]
+
+
 class TestBatchWorkspace:
     """A batch allocates its KKT, LU and W stacks once, and iterates in them."""
 
@@ -494,7 +606,7 @@ class TestBatchWorkspace:
             S._prepare(instance5(grid5, bg={b: f * s for b, s in BG5.items()}), {}, S.SolverSettings())
             for f in (0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4)
         ]
-        lone = [S.solve_conelp(*req.scaled(), req.dims) for req in reqs]
+        lone = [S.solve_conelp(*(a[0] for a in scaled([req])), req.dims) for req in reqs]
         order = np.argsort([raw["iterations"] for raw in lone], kind="stable")
         first, later = order[0], order[-2:]
         assert lone[first]["iterations"] < min(lone[i]["iterations"] for i in later)
@@ -503,7 +615,7 @@ class TestBatchWorkspace:
 
     def test_rows_move_down_when_the_middle_finishes(self, grid5):
         reqs, lone = self.middle_first(grid5)
-        stacks = [np.stack(arrays) for arrays in zip(*(req.scaled() for req in reqs))]
+        stacks = scaled(reqs)
         raws = S._solve_conelp_batch(*stacks, reqs[0].dims, S.SolverSettings(), [None] * 3)
         for got, want in zip(raws, lone):
             assert got["status"] == S.OPTIMAL
@@ -520,7 +632,7 @@ class TestBatchWorkspace:
             return lus
 
         monkeypatch.setattr(S, "_kkt_factor", recording)
-        stacks = [np.stack(arrays) for arrays in zip(*(req.scaled() for req in reqs))]
+        stacks = scaled(reqs)
         S._solve_conelp_batch(*stacks, reqs[0].dims, S.SolverSettings(), [None] * 3)
         K0, _, lu_ws, _ = calls[0]
         W_ws = calls[1][1]
@@ -630,3 +742,25 @@ class TestSolveSocpMany:
         # into batches of three (KKT 39, W 21: 8 (2 39^2 + 21^2) = 27,864
         # bytes an instance) or of one
         assert max(batches) == {S._BATCH_BYTES: 4, 100_000: 3, 1: 1}[budget]
+
+    def test_a_wide_group_shares_one_batch(self, grid5, monkeypatch):
+        """Thirty load-scaled 5-bus programs (KKT 39) fill one batch of the
+        byte budget, which holds 75 of them."""
+        reqs = [
+            (instance5(grid5, bg={b: f * s for b, s in BG5.items()}), {}, None)
+            for f in np.linspace(0.2, 1.4, 30)
+        ]
+        singles = [S.solve_socp(*req) for req in reqs]
+        batches = []
+        batch = S._solve_conelp_batch
+
+        def recording(c, *args):
+            batches.append(len(c))
+            return batch(c, *args)
+
+        monkeypatch.setattr(S, "_solve_conelp_batch", recording)
+        many = S.solve_socp_many(reqs)
+        assert batches == [30] and max(batches) > 24
+        for got, want in zip(many, singles):
+            assert want.status == S.OPTIMAL
+            assert_same_solution(got, want)

@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 tools/artifact_digest.py [WORKLOAD | WORKLOAD:CONFIG_SEED ...]
+    python3 tools/artifact_digest.py [--expect TOTAL] [WORKLOAD | WORKLOAD:CONFIG_SEED ...]
 
 Runs each config seed that ``perfbench/reference.json`` records for the named
 workloads, or for all three benchmark workloads (160 horizons) when none is
@@ -20,6 +20,12 @@ artifacts.  BLAS threads are pinned to 1 before numpy loads, because the last
 bits of a solve depend on the BLAS thread count.  Output files go to a
 temporary directory that is removed afterwards; nothing under ``perfbench/``
 is written.
+
+``--expect TOTAL`` exits 1 with a message when the printed total differs
+from ``TOTAL``, so a change meant to keep every artifact byte-identical checks
+itself in one command.  Over all 160 horizons the total is currently
+
+    d5a50f72a41cfbaa9976e948d011d5f9ccc36aa8f77e6d6cc288aa02a1d58110
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
@@ -66,9 +73,13 @@ def horizons(args, reference):
     return sorted(pairs, key=lambda pair: (pair[0], int(pair[1])))
 
 
-def main(args):
+def main(argv):
+    parser = argparse.ArgumentParser(description="Digest of the benchmark reference horizons' outputs.")
+    parser.add_argument("--expect", metavar="TOTAL", help="exit 1 unless the total is TOTAL")
+    parser.add_argument("horizons", nargs="*", metavar="WORKLOAD[:CONFIG_SEED]")
+    args = parser.parse_args(argv)
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
-    pairs = horizons(args, reference)
+    pairs = horizons(args.horizons, reference)
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for name, seed in pairs:
@@ -80,6 +91,8 @@ def main(args):
             print(line, flush=True)
             total.update(line.encode() + b"\n")
     print(f"total {total.hexdigest()}")
+    if args.expect is not None and args.expect != total.hexdigest():
+        sys.exit(f"artifact_digest: total {total.hexdigest()} differs from the expected {args.expect}")
 
 
 if __name__ == "__main__":

@@ -259,6 +259,19 @@ class LossQuadratic:
     Lambda: np.ndarray  # 2m x 2m, symmetric PSD
     lam: np.ndarray  # 2m
     sigma: float
+    F: np.ndarray  # r x 2m with Lambda = F^T F, r its numerical rank
+
+
+def _loss_factor(Lambda):
+    """F with Lambda = F^T F, from the eigenpairs of Lambda's symmetric part."""
+    try:
+        evals, evecs = np.linalg.eigh(0.5 * (Lambda + Lambda.T))
+    except np.linalg.LinAlgError as exc:
+        raise ModelError(f"loss quadratic factorization failed: {exc}") from exc
+    if evals.min() < -1e-9 * max(1.0, abs(evals).max()):
+        raise ModelError(f"loss quadratic is not PSD (min eigenvalue {evals.min():.3e})")
+    keep = evals > abs(evals).max() * 1e-14
+    return np.sqrt(evals[keep])[:, None] * evecs[:, keep].T
 
 
 @dataclass(frozen=True)
@@ -298,8 +311,8 @@ class LinearizedGrid:
 
         ``injections``: complex power per non-slack bus (mapping or array
         aligned with ``bus_order``), generation positive.  Returns a new
-        LinearizedGrid whose b, lambda and sigma absorb the background; K and
-        Lambda are unchanged.
+        LinearizedGrid whose b, lambda and sigma absorb the background; K,
+        Lambda and its factor F are unchanged.
         """
         if isinstance(injections, dict):
             s = np.zeros(len(self.bus_order), dtype=complex)
@@ -324,9 +337,7 @@ class LinearizedGrid:
             self,
             b=b_t,
             full_lam=lam_full_t,
-            loss_quad=LossQuadratic(
-                Lambda=self.loss_quad.Lambda, lam=lam_full_t[cols], sigma=sigma_t
-            ),
+            loss_quad=replace(self.loss_quad, lam=lam_full_t[cols], sigma=sigma_t),
         )
 
 
@@ -378,12 +389,13 @@ def linearize(net, pcc_buses):
     evals, evecs = np.linalg.eigh(Lam)
     Lam = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
     full_Lambda = 0.5 * (Lam + Lam.T)
+    Lam_pcc = full_Lambda[np.ix_(cols, cols)]
 
     return LinearizedGrid(
         K=full_K[:, cols],
         b=np.abs(w),
         loss_quad=LossQuadratic(
-            Lambda=full_Lambda[np.ix_(cols, cols)], lam=full_lam[cols], sigma=sigma
+            Lambda=Lam_pcc, lam=full_lam[cols], sigma=sigma, F=_loss_factor(Lam_pcc)
         ),
         pcc_map={i: bid for i, bid in enumerate(pcc_buses)},
         bus_order=tuple(net.load_order),

@@ -14,7 +14,8 @@ needs solved as a ``solver.solve_socp`` argument tuple (ir, fixings,
 settings): node relaxations, their retries and the verification solve.  One
 driver, ``_drive``, runs any number of searches in lockstep waves through
 ``solver.solve_socp_many``; ``solve_misocp`` hands it one search and
-``solve_misocp_many`` many.  Batching gives each SOCP the bits of a lone
+``solve_misocp_many`` many.  An SOCP that fails with a MopschedError ends
+its search with that error.  Batching gives each SOCP the bits of a lone
 solve, so a search takes the same path and returns the same result either
 way.
 """
@@ -130,16 +131,22 @@ def _drive(searches):
 
     Each unfinished search puts the SOCP it waits on into a wave, which
     ``solver.solve_socp_many`` solves in batches; then each runs on to its
-    next SOCP or its end.  Returns one entry per search, in order: its
-    MipSolution, or the MopschedError it raised.
+    next SOCP or its end.  A search whose SOCP failed with a MopschedError
+    ends there: the error is its result and its generator is closed.
+    Returns one entry per search, in order: its MipSolution, or the
+    MopschedError it raised or its SOCP failed with.
     """
     results = [None] * len(searches)
     waiting = []  # (search index, its generator, the SOCP request it waits on)
 
     def run(i, bnb, sol=None):
         """Hand ``sol`` to search i and run it to its next request or its end."""
+        if isinstance(sol, MopschedError):
+            results[i] = sol
+            bnb.close()
+            return
         try:
-            request = bnb.throw(sol) if isinstance(sol, MopschedError) else bnb.send(sol)
+            request = bnb.send(sol)
         except StopIteration as done:
             results[i] = done.value
         except MopschedError as exc:
@@ -162,8 +169,8 @@ def _branch_and_bound(ir, cfg=None, settings=None, trace=None):
 
     Yields each continuous program to solve as a ``solver.solve_socp``
     argument tuple (ir, fixings, settings) and takes the ConicSolution back
-    by ``send``; a MopschedError the solve raised comes back by ``throw``.
-    Returns the MipSolution.
+    by ``send``.  Returns the MipSolution; a solve that fails with a
+    MopschedError never comes back, since ``_drive`` ends the search there.
     """
     cfg = cfg or BnBConfig()
     trace_rows = [] if trace is not None else None

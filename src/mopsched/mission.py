@@ -62,7 +62,10 @@ class HorizonInput:
         if lengths.pop() < 1:
             raise ValidationError("horizon must cover at least one timestep")
         for name, series in self.profiles.items():
-            if np.any(np.asarray(series) < 0):
+            series = np.asarray(series)
+            if not np.isfinite(series).all():
+                raise ValidationError(f"profile {name!r} has non-finite multipliers")
+            if np.any(series < 0):
                 raise ValidationError(f"profile {name!r} has negative multipliers")
         known = list(self.profiles)  # a profile name from a config may be any JSON value, even a list
         for load in self.loads:
@@ -222,16 +225,6 @@ def _timestep_result(grid, conv, t, ir, ms):
     )
 
 
-# (grid, conv, horizon, cfg, settings) of the horizon a forked worker serves;
-# set by _adopt_task in the worker, never in the calling process
-_worker_task = None
-
-
-def _adopt_task(task):
-    global _worker_task
-    _worker_task = task
-
-
 def _solve_share(task, k, shares):
     """Results of the timesteps t = k, k + shares, k + 2*shares, ... of ``task``.
 
@@ -250,10 +243,6 @@ def _solve_share(task, k, shares):
         solved = _mip.solve_misocp_many(irs, cfg, settings)
         results += [_timestep_result(grid, conv, *row) for row in zip(window, irs, solved)]
     return results
-
-
-def _worker_share(k, shares):
-    return _solve_share(_worker_task, k, shares)
 
 
 def _thread_count():
@@ -282,10 +271,12 @@ def schedule_horizon(grid, conv, horizon, cfg=None, settings=None):
     """Solve every timestep and assemble the mission profile.
 
     The timesteps are split into interleaved shares (see ``_share_count``):
-    the calling process solves share 0 and forked workers solve the others,
-    each with the same code and data as a sequential run, so the result does
-    not depend on the CPU count.  Infeasible and failed timesteps are
-    recorded with zero transfers and the run continues.
+    the calling process runs ``_solve_share`` on share 0 and each forked
+    worker runs it on one other share, its (grid, conv, horizon, cfg,
+    settings) task pickled with the call.  Every share runs the code of a
+    sequential run on the same data, so the result does not depend on the
+    CPU count.  Infeasible and failed timesteps are recorded with zero
+    transfers and the run continues.
     """
     tau = horizon.tau
     task = (grid, conv, horizon, cfg or _mip.BnBConfig(), settings)
@@ -293,19 +284,15 @@ def schedule_horizon(grid, conv, horizon, cfg=None, settings=None):
     if shares == 1:
         results = _solve_share(task, 0, 1)
     else:
-        # Fork, not spawn: workers inherit the task and the imported program
-        # without pickling or re-importing either.
+        # Fork, not spawn: workers inherit the imported program without
+        # re-importing it; each gets its task pickled once, with its share.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         results = [None] * tau
-        with ProcessPoolExecutor(
-            shares - 1,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_adopt_task,
-            initargs=(task,),
-        ) as pool:
-            futures = {k: pool.submit(_worker_share, k, shares) for k in range(1, shares)}
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(shares - 1, mp_context=fork) as pool:
+            futures = {k: pool.submit(_solve_share, task, k, shares) for k in range(1, shares)}
             # the caller works its own share rather than wait on the workers
             results[0::shares] = _solve_share(task, 0, shares)
             for k, future in futures.items():

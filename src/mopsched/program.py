@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ModelError, ValidationError
+from .errors import ValidationError
 
 UNCONSTRAINED = "unconstrained"
 # A transfer counts as nonzero above this fraction of the converter capacity;
@@ -74,6 +74,14 @@ class TimestepInput:
     monitored_buses: object = None  # None = all non-slack buses
 
     def __post_init__(self):
+        bad = [name for name in ("v_min", "v_max", "p_der") if not np.isfinite(getattr(self, name))]
+        bg = self.background_injections
+        if isinstance(bg, dict):
+            bad += [f"background injection at {bus}" for bus, s in bg.items() if not np.isfinite(s)]
+        elif bg is not None and not np.isfinite(np.asarray(bg, dtype=complex)).all():
+            bad.append("background_injections")
+        if bad:
+            raise ValidationError(f"non-finite timestep data: {', '.join(bad)}")
         if not self.v_min < self.v_max:
             raise ValidationError("voltage limits must satisfy v_min < v_max")
         n = self.cardinality_limit
@@ -251,17 +259,7 @@ def build_timestep_program(grid, conv, ts):
     if ts.background_injections is not None:
         grid = grid.fold_background(ts.background_injections)
     quad = grid.loss_quad
-
-    # Factor Lambda = F^T F for the conic loss epigraph.
-    lam_mat = np.asarray(quad.Lambda, dtype=float)
-    try:
-        evals, evecs = np.linalg.eigh(0.5 * (lam_mat + lam_mat.T))
-    except np.linalg.LinAlgError as exc:
-        raise ModelError(f"loss quadratic factorization failed: {exc}") from exc
-    if evals.min() < -1e-9 * max(1.0, abs(evals).max()):
-        raise ModelError(f"loss quadratic is not PSD (min eigenvalue {evals.min():.3e})")
-    keep = evals > abs(evals).max() * 1e-14 if evals.size else np.zeros(0, bool)
-    F = (np.sqrt(evals[keep])[:, None] * evecs[:, keep].T) if keep.any() else np.zeros((0, 2 * m))
+    F = quad.F  # Lambda = F^T F, for the conic loss epigraph
 
     p_c = [f"P_c[{i + 1}]" for i in range(m)]
     q_c = [f"Q_c[{i + 1}]" for i in range(m)]

@@ -29,11 +29,12 @@ bits it would get alone:
 Each batch lays out its cones, allocates its KKT, LU and W stacks and fills
 the constant blocks of its KKT matrices once; an iteration writes the W
 blocks, the -W^2 blocks and the LU factors into those arrays and allocates
-none of its own size.  ``solve_socp_many`` groups requests by dimensions and
-settings, cuts each group into batches of as many instances as fit their
-KKT, LU and W arrays in ``_BATCH_BYTES`` (bytes alone set the width), and
-equilibrates each batch's stacked programs together; ``solve_socp`` and
-``solve_conelp`` are batches of one.
+none of its own size.  ``solve_socp_many``, the one batching entry point,
+groups its presolved requests (``_Presolved``) by key, cuts each group into
+batches of as many instances as fit their KKT, LU and W arrays in
+``_BATCH_BYTES`` (bytes alone set the width), and equilibrates each batch's
+stacked programs together; ``solve_socp`` and ``solve_conelp`` are batches
+of one.
 
 Pipeline for a program IR:  take its standard form, compiled once per IR
 -> fix the given binaries, relax the others to [0, 1] by their bound rows
@@ -686,7 +687,8 @@ _FIX_CONFLICT_TOL = 1e-7
 
 
 class _Presolved:
-    """A request's program after fixings and presolve: rows and columns of ``ir.standard_form``.
+    """One request: its program after fixings and presolve, rows and columns
+    of ``ir.standard_form``, with its settings ``st``.
 
     Presolve works on the stacked rows [A; G] of the form: a fixed variable
     is substituted into the right-hand side ``rhs`` of each row where it has
@@ -702,11 +704,12 @@ class _Presolved:
     variables becomes an equality.  When no rule fires, a variable no row
     uses is fixed at zero.  ``free``, ``eq`` and ``g_rows`` then select the
     program's columns, the form's equality rows and its G rows, which
-    ``arrays`` slices.
+    ``assemble`` slices into the ``arrays`` a batch stacks.
     """
 
-    def __init__(self, ir, fixings):
+    def __init__(self, ir, fixings, st=None):
         sf = self.sf = ir.standard_form
+        self.st = st
         self.names = ir.variables
         self.n_ineq = len(ir.inequalities)
         p, l = len(sf.b), sf.dims[0]
@@ -748,6 +751,9 @@ class _Presolved:
         for k, q in zip(self.cones, sizes):
             rows += range(sf.starts[k], sf.starts[k] + q)
         self.g_rows = np.array(rows, int)
+        self.arrays = self.assemble()  # c, A, b, G, h
+        # requests with equal keys can share a batch
+        self.key = len(self.free), len(self.arrays[2]), self.dims[0], tuple(sizes), st
 
     def _fix(self, j, val):
         if j in self.fixed:
@@ -880,7 +886,7 @@ class _Presolved:
             else:
                 self.live[t] = True  # an equality now
 
-    def arrays(self):
+    def assemble(self):
         """The presolved program's (c, A, b, G, h): rows and columns of the form."""
         sf, free = self.sf, self.free
         p = len(sf.b)
@@ -935,39 +941,10 @@ def _reconstruct_duals(pre, y, z):
     }
 
 
-def _final_metrics(pre, x):
-    """Primal feasibility of the full-variable solution ``x`` on the original IR.
-
-    The worst of |A x - b|, of the inequalities' violation and of each
-    cone's ||tail|| - head, all read from s = h - G x.
-    """
-    sf = pre.sf
-    s = sf.h - sf.G @ x
-    worst = [np.abs(sf.A @ x - sf.b).max(initial=0.0), (-s[: pre.n_ineq]).max(initial=0.0), 0.0]
-    s = s.tolist()
-    worst += [math.hypot(*s[i + 1 : i + q]) - s[i] for i, q in zip(sf.starts, sf.dims[1])]
-    return float(max(worst))
-
-
-class _Prepared:
-    """One request, presolved and assembled, ready for a batch."""
-
-    def __init__(self, pre, st):
-        self.pre, self.st, self.dims = pre, st, pre.dims
-        self.arrays = pre.arrays()  # c, A, b, G, h
-
-    @property
-    def key(self):
-        """Requests with equal keys can share a batch."""
-        c, _, b, _, _ = self.arrays
-        l, qs = self.dims
-        return len(c), len(b), l, tuple(qs), self.st
-
-
 def _prepare(ir, fixings, st):
-    """A _Prepared request, or the ConicSolution when presolve settles it."""
+    """A _Presolved request, or the ConicSolution when presolve settles it."""
     try:
-        pre = _Presolved(ir, fixings)
+        pre = _Presolved(ir, fixings, st)
     except _Infeasible as inf:
         info = {"presolve": str(inf), "certificate_residual": 0.0}
         return ConicSolution(INFEASIBLE, {}, {}, iterations=0, info=info)
@@ -987,14 +964,13 @@ def _prepare(ir, fixings, st):
             iterations=0,
             info={"presolve": "fully determined"},
         )
-    return _Prepared(pre, st)
+    return pre
 
 
-def _conic_solution(req, raw, scales):
+def _conic_solution(pre, raw, scales):
     """The ConicSolution of a request from its raw interior-point result and
     its (rA, rG, d) scales."""
-    pre, st = req.pre, req.st
-    c, A, b, G, h = req.arrays
+    c, A, b, G, h = pre.arrays
     rA, rG, d = scales
     if raw["status"] == INFEASIBLE:
         cert_y = raw["cert_y"] * rA if len(b) else raw["cert_y"]
@@ -1025,7 +1001,7 @@ def _conic_solution(req, raw, scales):
         np.linalg.norm(G @ x + s - h) / max(1.0, np.linalg.norm(h)),
     )
     dres = np.linalg.norm(A.T @ y + G.T @ z + c) / max(1.0, np.linalg.norm(c))
-    if max(pres, dres) > st.final_tol or relgap > 10 * st.final_tol:
+    if max(pres, dres) > pre.st.final_tol or relgap > 10 * pre.st.final_tol:
         info = {"pres": pres, "dres": dres, "relgap": relgap, "note": "post-unscale check"}
         return ConicSolution(NUMERICAL_FAILURE, {}, {}, iterations=raw["iterations"], info=info)
 
@@ -1042,10 +1018,7 @@ def _conic_solution(req, raw, scales):
         primal_residual=float(pres),
         dual_residual=float(dres),
         iterations=raw["iterations"],
-        info={
-            "dcost": dcost + pre.c0,
-            "full_violation": _final_metrics(pre, np.array([primal[v] for v in pre.names])),
-        },
+        info={"dcost": dcost + pre.c0},
     )
 
 
@@ -1063,8 +1036,17 @@ def _batch_size(n, p, q):
     return max(1, _BATCH_BYTES // (8 * (2 * dim * dim + q * q)))
 
 
-def _solve_requests(requests, traces):
-    """solve_socp_many, with per request None or a list for its iteration rows."""
+def solve_socp_many(requests, traces=None):
+    """Solve continuous programs in lockstep batches, each exactly as ``solve_socp`` would.
+
+    ``requests`` is a sequence of (ir, fixings, settings), the arguments of
+    ``solve_socp``, and ``traces`` per request None or a list for its
+    interior-point iteration rows.  Requests whose presolved programs have
+    equal dimensions and settings share interior-point batches of at most
+    ``_batch_size`` instances.  Returns one entry per request, in order: its
+    ConicSolution, or the MopschedError that ``solve_socp`` would raise for it.
+    """
+    traces = traces or [None] * len(requests)
     out = [None] * len(requests)
     groups = {}
     for i, (ir, fixings, settings) in enumerate(requests):
@@ -1091,19 +1073,6 @@ def _solve_requests(requests, traces):
     return out
 
 
-def solve_socp_many(requests):
-    """Solve continuous programs in lockstep batches, each exactly as ``solve_socp`` would.
-
-    ``requests`` is a sequence of (ir, fixings, settings), the arguments of
-    ``solve_socp``: binaries named in ``fixings`` are fixed, the others
-    relaxed to [0, 1].  Requests whose presolved programs have equal dimensions
-    and settings share interior-point batches of at most ``_batch_size``
-    instances.  Returns one entry per request, in order: its ConicSolution,
-    or the MopschedError that ``solve_socp`` would raise for it.
-    """
-    return _solve_requests(requests, [None] * len(requests))
-
-
 def solve_socp(ir, fixings=None, settings=None, trace=None):
     """Solve the continuous program: binaries named in ``fixings`` fixed to
     their 0 or 1, the others relaxed to [0, 1].
@@ -1114,7 +1083,7 @@ def solve_socp(ir, fixings=None, settings=None, trace=None):
     when the program reaches the interior-point method.
     """
     trace_rows = [] if trace is not None else None
-    (sol,) = _solve_requests([(ir, fixings, settings)], [trace_rows])
+    (sol,) = solve_socp_many([(ir, fixings, settings)], [trace_rows])
     if trace_rows:
         with open(trace, "w") as fh:
             fh.write("iter,pcost,dcost,gap,pres,dres,tau,kappa\n")
@@ -1123,6 +1092,22 @@ def solve_socp(ir, fixings=None, settings=None, trace=None):
     if isinstance(sol, MopschedError):
         raise sol
     return sol
+
+
+def full_violation(ir, sol):
+    """Primal infeasibility of ``sol`` on ``ir``'s standard form.
+
+    The worst of |A x - b|, of the inequalities' violation and of each
+    cone's ||tail|| - head, all read from s = h - G x.
+    """
+    sf = ir.standard_form
+    x = np.array([sol.primal[v] for v in ir.variables])
+    s = sf.h - sf.G @ x
+    n_ineq = len(ir.inequalities)
+    worst = [np.abs(sf.A @ x - sf.b).max(initial=0.0), (-s[:n_ineq]).max(initial=0.0), 0.0]
+    s = s.tolist()
+    worst += [math.hypot(*s[i + 1 : i + q]) - s[i] for i, q in zip(sf.starts, sf.dims[1])]
+    return float(max(worst))
 
 
 def dual_objective(sol):

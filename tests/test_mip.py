@@ -184,6 +184,82 @@ class TestSolveMisocpMany:
         assert [many[i].status for i in (5, 6)] == ["infeasible", "infeasible"]
 
 
+FAILED = S.ConicSolution(S.NUMERICAL_FAILURE, {}, {})
+
+
+def run_search(ir, answer):
+    """Drive ``_branch_and_bound`` on ``ir``, ``answer(i, request)`` giving the
+    ConicSolution of its i-th SOCP request.  Returns the requests and the
+    search's result: its MipSolution, or the MopschedError it raised."""
+    bnb = M._branch_and_bound(ir)
+    requests, sol = [], None
+    try:
+        while True:
+            requests.append(bnb.send(sol))
+            sol = answer(len(requests) - 1, requests[-1])
+    except StopIteration as done:
+        return requests, done.value
+    except MopschedError as exc:
+        return requests, exc
+
+
+def solved(i, request):
+    return S.solve_socp(*request)
+
+
+class TestSearchFailurePaths:
+    """What a search does with a failed or infeasible SOCP."""
+
+    def test_failed_relaxation_is_retried(self, grid5):
+        ir = instance5(grid5, cardinality=1)
+        requests, ms = run_search(ir, lambda i, r: FAILED if i == 0 else solved(i, r))
+        (ir0, fixed0, st0), (ir1, fixed1, st1) = requests[:2]
+        assert ir0 is ir1 is ir and fixed1 is fixed0 == {} and st0 is None
+        assert st1 == replace(S.SolverSettings(), refine=4, ruiz_iter=8, reg=1e-9)
+        assert ms.status == "optimal"
+        assert ms.objective == pytest.approx(M.solve_misocp(ir).objective, abs=1e-7)
+
+    def test_failed_retry_ends_the_search(self, grid5):
+        requests, result = run_search(instance5(grid5, cardinality=1), lambda i, r: FAILED)
+        assert len(requests) == 2
+        assert isinstance(result, MopschedError)
+        assert str(result) == "node relaxation failed with status numerical_failure"
+
+    def test_failed_verification_ends_the_search(self, grid5):
+        ir = instance5(grid5, cardinality=1)
+        requests, want = run_search(ir, solved)
+        last = len(requests) - 1
+        # the verification solve fixes every binary to the incumbent's support
+        assert requests[last][1] == want.fixings and set(want.fixings) == set(ir.binaries)
+        again, result = run_search(ir, lambda i, r: FAILED if i == last else solved(i, r))
+        assert len(again) == len(requests)
+        assert str(result) == "incumbent re-verification failed with status numerical_failure"
+
+    def test_continuous_solve(self, grid5):
+        ir = instance5(grid5)
+        requests, result = run_search(ir, lambda i, r: FAILED)
+        assert requests == [(ir, {}, None)]
+        assert str(result) == "continuous solve failed with status numerical_failure"
+        _, ms = run_search(ir, lambda i, r: S.ConicSolution(S.INFEASIBLE, {}, {}))
+        assert (ms.status, ms.incumbent, ms.nodes_explored) == ("infeasible", None, 1)
+
+    def test_a_failed_socp_ends_only_its_search(self, grid5, monkeypatch):
+        failing, other = instance5(grid5, cardinality=1), instance5(grid5, cardinality=2)
+        want = M.solve_misocp(other)
+        error = MopschedError("forced")
+        solve_socp_many = S.solve_socp_many
+
+        def failing_many(requests):
+            solved = solve_socp_many(requests)
+            return [error if r[0] is failing else sol for r, sol in zip(requests, solved)]
+
+        monkeypatch.setattr(S, "solve_socp_many", failing_many)
+        searches = [M._branch_and_bound(ir) for ir in (failing, other)]
+        results = M._drive(searches)
+        assert results[0] is error and searches[0].gi_frame is None
+        assert_same_solution(results[1], want)
+
+
 class TestBatchWidth:
     """A horizon solves its timesteps in windows of ``_batch_width``, as many
     root relaxations as the solver's byte budget holds; a wider window holds

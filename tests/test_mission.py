@@ -316,6 +316,17 @@ class TestHorizonValidation:
                 v_max=1.1,
             )
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_multiplier_rejected(self, value):
+        with pytest.raises(ValidationError, match="profile 'a' has non-finite"):
+            MS.HorizonInput(
+                profiles={"a": np.array([0.5, value])},
+                loads=[],
+                timestep_hours=0.5,
+                v_min=0.9,
+                v_max=1.1,
+            )
+
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValidationError, match="unknown profile"):
             MS.HorizonInput(

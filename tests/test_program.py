@@ -203,6 +203,21 @@ class TestValidation:
         with pytest.raises(ValidationError):
             TimestepInput(v_min=0.9, v_max=1.1, cardinality_limit=True)
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            (dict(v_min=math.nan), "v_min"),
+            (dict(v_max=math.inf), "v_max"),
+            (dict(p_der=math.nan), "p_der"),
+            (dict(background_injections={"bus_2": complex(math.nan, 0.0)}), "at bus_2"),
+            (dict(background_injections={"bus_3": complex(-0.1, math.inf)}), "at bus_3"),
+            (dict(background_injections=np.array([0.1, -math.inf, 0.0, 0.0])), "background"),
+        ],
+    )
+    def test_non_finite_timestep_data_rejected(self, fields, name):
+        with pytest.raises(ValidationError, match=f"non-finite timestep data: .*{name}"):
+            TimestepInput(**{"v_min": 0.9, "v_max": 1.1, **fields})
+
     def test_grid_converter_mismatch(self, grid5):
         conv = ConverterSpec(pcc_buses=("bus_5", "bus_3"), s_total=0.4)
         ts = TimestepInput(v_min=0.9, v_max=1.1)

@@ -180,7 +180,7 @@ class TestCertifiedQuality:
         assert sol.primal_residual <= 1e-8
         assert sol.dual_residual <= 1e-8
         assert sol.relgap <= 1e-8
-        assert sol.info["full_violation"] <= 1e-8
+        assert S.full_violation(ir, sol) <= 1e-8
 
     def test_kkt_stationarity_with_reconstructed_duals(self, grid5):
         ir = instance5(grid5)
@@ -316,7 +316,7 @@ class TestPresolve:
             binaries=(),
             objective=AffExpr({"w": 1.0}),
         ).validate()
-        c, A, b, G, h = S._Presolved(ir, {}).arrays()
+        c, A, b, G, h = S._Presolved(ir, {}).assemble()
         # the free columns x, y and w; u = 0.25 is folded into the right-hand side
         assert A.tolist() == [[1.0, 1.0, 0.0]] and b.tolist() == [1.0]
         sol = S.solve_socp(ir)
@@ -325,7 +325,7 @@ class TestPresolve:
         assert sol.primal["t"] == 0.0 and sol.primal["u"] == 0.25
         assert sol.primal["x"] == pytest.approx(1.5, abs=1e-6)
         assert sol.primal["y"] == pytest.approx(-0.5, abs=1e-6)
-        assert sol.info["full_violation"] <= 1e-8
+        assert S.full_violation(ir, sol) <= 1e-8
 
 
 class TestRelaxationTightness:
@@ -764,3 +764,48 @@ class TestSolveSocpMany:
         for got, want in zip(many, singles):
             assert want.status == S.OPTIMAL
             assert_same_solution(got, want)
+
+
+class TestFailurePaths:
+    """The interior-point exits that no well-posed fixture reaches."""
+
+    @staticmethod
+    def requests5(grid5, factors):
+        return [
+            S._prepare(instance5(grid5, bg={b: f * s for b, s in BG5.items()}), {}, S.SolverSettings())
+            for f in factors
+        ]
+
+    def test_a_stuck_step_fails_only_its_instance(self, grid5, monkeypatch):
+        reqs = self.requests5(grid5, (0.6, 1.0, 1.4))
+        lone = [S.solve_conelp(*(a[0] for a in scaled([req])), req.dims) for req in reqs]
+        max_step = S._max_step
+        calls = []
+
+        def stalling(u, du, cones):
+            alpha = max_step(u, du, cones)
+            calls.append(len(u))
+            if len(calls) == 6:  # the third iteration's corrector, all three live
+                assert len(u) == 6
+                alpha[1] = 0.0  # s of the middle instance
+            return alpha
+
+        monkeypatch.setattr(S, "_max_step", stalling)
+        raws = S._solve_conelp_batch(*scaled(reqs), reqs[0].dims, S.SolverSettings(), [None] * 3)
+        assert raws[1]["status"] == S.NUMERICAL_FAILURE
+        assert raws[1]["iterations"] == 3 and "best_iterate" not in raws[1]
+        for i in (0, 2):
+            assert raws[i]["status"] == S.OPTIMAL
+            assert_same_raw(raws[i], lone[i])
+
+    def test_best_iterate_rescues_unreachable_tolerances(self, grid5):
+        (req,) = self.requests5(grid5, (1.0,))
+        program = [a[0] for a in scaled([req])]
+        tight = dict(feastol=1e-15, abstol=1e-15, reltol=1e-15, max_iter=12)
+        raw = S.solve_conelp(*program, req.dims, S.SolverSettings(**tight, final_tol=1e-6))
+        assert raw["status"] == S.OPTIMAL and raw["best_iterate"] is True
+        assert raw["iterations"] == 12
+        assert max(raw["pres"], raw["dres"], raw["relgap"]) <= 1e-6
+        # without the coarser acceptance threshold the same run fails
+        raw = S.solve_conelp(*program, req.dims, S.SolverSettings(**tight, final_tol=1e-14))
+        assert raw["status"] == S.NUMERICAL_FAILURE and "best_iterate" not in raw

@@ -418,8 +418,12 @@ def _oracle_checks(cfg, lg, conv, horizon, rng):
         t = int(rng.integers(0, hz.tau))
         n = int(rng.integers(0, m + 1))
         ir = _mission._timestep_program(lg, conv, replace(hz, cardinality_limit=n), t)
-        ms = _mip.solve_misocp(ir, bnb, settings)
-        oc = _oracle.enumerate_supports(ir, n, settings)
+        try:
+            ms = _mip.solve_misocp(ir, bnb, settings)
+            oc = _oracle.enumerate_supports(ir, n, settings)
+        except MopschedError as exc:  # a failed solve fails its check
+            checks.append((f"oracle_equivalence_{trial}", False, f"t={t} n={n}: {exc}"))
+            continue
         if ms.status == "infeasible" or oc.status == "infeasible":
             ok = ms.status == oc.status
             detail = f"t={t} n={n}: both infeasible" if ok else f"t={t} n={n}: status mismatch"

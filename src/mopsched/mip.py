@@ -14,10 +14,11 @@ needs solved as a ``solver.solve_socp`` argument tuple (ir, fixings,
 settings): node relaxations, their retries and the verification solve.  One
 driver, ``_drive``, runs any number of searches in lockstep waves through
 ``solver.solve_socp_many``; ``solve_misocp`` hands it one search and
-``solve_misocp_many`` many.  An SOCP that fails with a MopschedError ends
-its search with that error.  Batching gives each SOCP the bits of a lone
-solve, so a search takes the same path and returns the same result either
-way.
+``solve_misocp_many`` many.  The solver answers every request with a
+ConicSolution, a failure as its status; a search that cannot go on raises
+MopschedError, which ends that search alone.  Batching gives each SOCP the
+bits of a lone solve, so a search takes the same path and returns the same
+result either way.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ import numpy as np
 from .errors import MopschedError, ValidationError, count_setting, real_setting
 from .program import EC_EPS_FRACTION
 from . import solver as _solver
-
-_INT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,11 @@ class MipSolution:
 
 
 def branch(node_fixed, z_values, binaries):
-    """Most-fractional branching: returns (variable, child fixing dicts)."""
+    """Most-fractional branching: returns (variable, child fixing dicts).
+
+    Only nodes that ``_repair_support`` rejected come here: their active
+    legs (z > 1e-5 each) cannot all sit near 1 under the budget row.
+    """
     best_var, best_frac = None, -1.0
     for z in binaries:
         if z in node_fixed:
@@ -68,8 +71,6 @@ def branch(node_fixed, z_values, binaries):
         frac = min(val, 1.0 - val)
         if frac > best_frac + 1e-12:
             best_var, best_frac = z, frac
-    if best_var is None or best_frac <= _INT_TOL:
-        return None, ()
     lo = dict(node_fixed)
     lo[best_var] = 0.0
     hi = dict(node_fixed)
@@ -131,20 +132,14 @@ def _drive(searches):
 
     Each unfinished search puts the SOCP it waits on into a wave, which
     ``solver.solve_socp_many`` solves in batches; then each runs on to its
-    next SOCP or its end.  A search whose SOCP failed with a MopschedError
-    ends there: the error is its result and its generator is closed.
-    Returns one entry per search, in order: its MipSolution, or the
-    MopschedError it raised or its SOCP failed with.
+    next SOCP or its end.  Returns one entry per search, in order: its
+    MipSolution, or the MopschedError it raised.
     """
     results = [None] * len(searches)
     waiting = []  # (search index, its generator, the SOCP request it waits on)
 
     def run(i, bnb, sol=None):
         """Hand ``sol`` to search i and run it to its next request or its end."""
-        if isinstance(sol, MopschedError):
-            results[i] = sol
-            bnb.close()
-            return
         try:
             request = bnb.send(sol)
         except StopIteration as done:
@@ -169,8 +164,9 @@ def _branch_and_bound(ir, cfg=None, settings=None, trace=None):
 
     Yields each continuous program to solve as a ``solver.solve_socp``
     argument tuple (ir, fixings, settings) and takes the ConicSolution back
-    by ``send``.  Returns the MipSolution; a solve that fails with a
-    MopschedError never comes back, since ``_drive`` ends the search there.
+    by ``send``.  Returns the MipSolution, or raises MopschedError when a
+    continuous solve, a node relaxation and its retry, or the verification
+    solve ends neither optimal nor infeasible.
     """
     cfg = cfg or BnBConfig()
     trace_rows = [] if trace is not None else None
@@ -257,14 +253,7 @@ def _branch_and_bound(ir, cfg=None, settings=None, trace=None):
             continue
 
         z_values = {z: sol.primal[z] for z in ir.binaries if z not in fixed}
-        var, children = branch(fixed, z_values, ir.binaries)
-        if var is None:
-            # integral without repair headroom: candidate incumbent
-            cand = {z: (fixed[z] if z in fixed else round(z_values[z])) for z in ir.binaries}
-            if sol.objective < incumbent_obj - 1e-12:
-                incumbent_obj = sol.objective
-                incumbent_fix = cand
-            continue
+        _, children = branch(fixed, z_values, ir.binaries)
         for child_fixed in children:
             heapq.heappush(heap, (bound, counter, child_fixed))
             counter += 1

@@ -114,7 +114,7 @@ class MissionProfile:
     s_total_kva: float
     timestep_hours: float
     cardinality: object = UNCONSTRAINED
-    extra: dict = field(default_factory=dict)
+    errors: dict = field(default_factory=dict)  # t -> message of each ``error`` step
 
     @property
     def tau(self):
@@ -301,7 +301,6 @@ def schedule_horizon(grid, conv, horizon, cfg=None, settings=None):
     p_mp = np.vstack([r["p"] for r in results])
     q_mp = np.vstack([r["q"] for r in results])
     s_mp = np.hypot(p_mp, q_mp)
-    errors = {r["t"]: r["error"] for r in results if "error" in r}
     s_total_kva = conv.s_total * grid.s_base_kva
     eps_kva = EC_EPS_FRACTION * s_total_kva
     ec = np.array([electrical_cardinality(s_mp[t], eps_kva) for t in range(tau)])
@@ -321,7 +320,7 @@ def schedule_horizon(grid, conv, horizon, cfg=None, settings=None):
         s_total_kva=s_total_kva,
         timestep_hours=horizon.timestep_hours,
         cardinality=horizon.cardinality_limit,
-        extra={"errors": errors} if errors else {},
+        errors={r["t"]: r["error"] for r in results if "error" in r},
     )
 
 
@@ -379,7 +378,7 @@ def summarize(profiles, baseline_loss_series):
                 "infeasible_timesteps": p.n_infeasible,
                 "max_relaxation_gap": p.max_tightness,
                 "status_counts": dict(sorted(Counter(p.status).items())),
-                "errors": {str(t): msg for t, msg in p.extra.get("errors", {}).items()},
+                "errors": {str(t): msg for t, msg in p.errors.items()},
             }
         )
     return {

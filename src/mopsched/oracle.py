@@ -57,8 +57,6 @@ def enumerate_supports(ir, n, settings=None):
             for subset in subsets
         ]
         for subset, sol in zip(subsets, _solver.solve_socp_many(requests)):
-            if isinstance(sol, MopschedError):
-                raise sol
             solves += 1
             if sol.status == _solver.INFEASIBLE:
                 continue

@@ -187,7 +187,8 @@ class StandardForm:
     expression (minus its coefficients, its constant in h).  K is the
     nonnegative orthant on the first ``dims[0]`` rows of G and one
     second-order cone of each size in ``dims[1]``; cone k starts at row
-    ``starts[k]`` of G and has its head in column ``heads[k]``.
+    ``starts[k]`` of G and has its head in column ``heads[k]``.  A non-finite
+    coefficient or right-hand side raises ValidationError.
 
     For presolve, ``by_row`` and ``by_col`` list the nonzeros of the stacked
     rows [A; G] outside the head rows as (ptr, index, value) lists: row r's
@@ -220,6 +221,8 @@ class StandardForm:
         for v, cf in ir.objective.coeffs.items():
             self.c[columns[v]] = cf
         self.c0 = float(ir.objective.const)
+        if not (np.isfinite(M).all() and np.isfinite(rhs).all() and np.isfinite(self.c).all()):
+            raise ValidationError("program has a non-finite coefficient or right-hand side")
         nonzero = M != 0
         nonzero[head_rows] = False
         self.by_row, self.by_col = _compressed(M, nonzero), _compressed(M.T, nonzero.T)

@@ -36,6 +36,12 @@ batches of as many instances as fit their KKT, LU and W arrays in
 stacked programs together; ``solve_socp`` and ``solve_conelp`` are batches
 of one.
 
+Failures take one path each.  An instance that cannot go on (a zero or
+non-finite step, or an NT scaling off the cone interior) leaves its batch
+``numerical_failure``, or ``optimal`` when its best iterate certifies at
+``final_tol``, and the others run on.  A malformed request raises
+ValidationError in ``solve_socp_many`` before any batch runs.
+
 Pipeline for a program IR:  take its standard form, compiled once per IR
 -> fix the given binaries, relax the others to [0, 1] by their bound rows
 -> substitution presolve, which selects rows and columns of the form ->
@@ -54,7 +60,7 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
-from .errors import MopschedError, ValidationError, count_setting, real_setting
+from .errors import ValidationError, count_setting, real_setting
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -256,7 +262,6 @@ def _nt_scaling(s, z, cones, W):
     for idx in cones.groups:
         d = idx.shape[1]
         sb, zb = s.take(idx, axis=1), z.take(idx, axis=1)
-        # a point outside the cone gives NaN here and fails _kkt_factor's guard
         with np.errstate(invalid="ignore", divide="ignore"):
             rs = np.sqrt(np.float_power(sb[..., 0], 2.0) - np.vecdot(sb[..., 1:], sb[..., 1:]))
             rz = np.sqrt(np.float_power(zb[..., 0], 2.0) - np.vecdot(zb[..., 1:], zb[..., 1:]))
@@ -283,11 +288,11 @@ def _nt_scaling(s, z, cones, W):
 # --- homogeneous self-dual interior-point core ------------------------------
 #
 # The KKT matrix is [[0, A', G'], [A, 0, 0], [G, 0, -W^2]].  The direct
-# getrf/getrs calls keep the guards of scipy's lu_factor/lu_solve: a
-# non-finite matrix or right-hand side raises ValueError with scipy's
-# message, and an exactly zero pivot warns LinAlgWarning.
-
-_NONFINITE = "array must not contain infs or NaNs"
+# getrf/getrs calls keep scipy's handling of LAPACK's info: an exactly zero
+# pivot warns LinAlgWarning.  They check no finiteness: the program data was
+# checked where its StandardForm compiled, and an instance whose NT scaling
+# leaves the cone interior takes its last step at W = I (see
+# _solve_conelp_batch), so one instance's NaN never reaches a stacked call.
 
 
 def _kkt_matrix(A, G):
@@ -296,8 +301,6 @@ def _kkt_matrix(A, G):
     ``A`` and ``G`` are (k, p, n) and (k, q, n) stacks.  ``_kkt_factor``
     fills the -W^2 blocks.
     """
-    if not (np.isfinite(A).all() and np.isfinite(G).all()):
-        raise ValueError(_NONFINITE)
     k, p, n = A.shape
     q = G.shape[1]
     K = np.zeros((k, n + p + q, n + p + q))
@@ -323,8 +326,6 @@ def _kkt_factor(K, W, reg, n, lu_ws):
     block = K[:, dim - q :, dim - q :]
     np.matmul(W, W, out=block)
     np.negative(block, out=block)
-    if not np.isfinite(block).all():
-        raise ValueError(_NONFINITE)  # the other blocks were checked by _kkt_matrix
     KT = lu_ws[:k]
     np.copyto(KT, K.transpose(0, 2, 1))
     diag = np.arange(dim)
@@ -346,8 +347,6 @@ def _kkt_factor(K, W, reg, n, lu_ws):
 
 def _getrs(lus, rhs):
     """Solve each instance's system in place in ``rhs`` and return it."""
-    if not np.isfinite(rhs).all():
-        raise ValueError(_NONFINITE)
     for (lu, piv), row in zip(lus, rhs):
         x, info = scipy.linalg.lapack.dgetrs(lu, piv, row, overwrite_b=True)
         if info:
@@ -425,8 +424,6 @@ def _solve_conelp_batch(c, A, b, G, h, dims, st, traces):
     """
     k, n = c.shape
     p, q = b.shape[1], h.shape[1]
-    if q == 0:
-        raise ValidationError("program has no conic part")
     cones = _Cones(dims)
     deg = cones.degree
     e = cones.e
@@ -496,7 +493,8 @@ def _solve_conelp_batch(c, A, b, G, h, dims, st, traces):
         live.drop(rows)
 
     def newton_step(rx, ry, rz, rtau):
-        """The predictor-corrector step of each live row, and its step length."""
+        """The predictor-corrector step of each live row, its step length, and
+        whether its NT scaling left the cone interior."""
         d = live.data
         c, b, h, K = d["c"], d["b"], d["h"], d["K"]
         _, _, z, s = split(live.v)
@@ -505,6 +503,12 @@ def _solve_conelp_batch(c, A, b, G, h, dims, st, traces):
 
         mu = (np.vecdot(s, z) + tau * kappa) / (deg + 1)
         W, lam = _nt_scaling(s, z, cones, W_ws)
+        # a row whose scaling left the cone interior ends stuck; W = I and
+        # lam = e keep its last step finite for the batch's stacked calls
+        lost = ~np.isfinite(lam).all(axis=1) | (lam[:, : cones.l] <= 0).any(axis=1)
+        if lost.any():
+            W[lost] = np.eye(q)
+            lam[lost] = e
         lus = _kkt_factor(K, W, st.reg, n, lu_ws)
         u1 = _kkt_solve(lus, K, d["rhs1"], st.refine)
         den = (
@@ -554,7 +558,7 @@ def _solve_conelp_batch(c, A, b, G, h, dims, st, traces):
         ds_rhs = -lam2 - corr + (sigma * mu)[:, None] * e
         dtau_rhs = -tau * kappa - dtaua * dkappaa + sigma * mu
         step = direction(ds_rhs, dtau_rhs, 1.0 - sigma)
-        return step, _smaller(1.0, st.gamma * step_to_boundary(step))
+        return step, _smaller(1.0, st.gamma * step_to_boundary(step)), lost
 
     for it in range(st.max_iter):
         d = live.data
@@ -620,8 +624,8 @@ def _solve_conelp_batch(c, A, b, G, h, dims, st, traces):
                 break
             keep = ~done
             rx, ry, rz, rtau, metrics = rx[keep], ry[keep], rz[keep], rtau[keep], metrics[keep]
-        step, alpha = newton_step(rx, ry, rz, rtau)
-        stuck = ~np.isfinite(alpha) | (alpha <= 1e-13)
+        step, alpha, lost = newton_step(rx, ry, rz, rtau)
+        stuck = lost | ~np.isfinite(alpha) | (alpha <= 1e-13)
         if stuck.any():
             finish(stuck, [NUMERICAL_FAILURE] * len(stuck), metrics, it)
             if not len(live.ids):
@@ -942,7 +946,9 @@ def _reconstruct_duals(pre, y, z):
 
 
 def _prepare(ir, fixings, st):
-    """A _Presolved request, or the ConicSolution when presolve settles it."""
+    """A _Presolved request, or the ConicSolution when presolve settles it;
+    ValidationError for a fixing that is no binary's 0 or 1, or for a
+    program that presolve leaves without a cone."""
     try:
         pre = _Presolved(ir, fixings, st)
     except _Infeasible as inf:
@@ -964,6 +970,8 @@ def _prepare(ir, fixings, st):
             iterations=0,
             info={"presolve": "fully determined"},
         )
+    if not len(pre.g_rows):
+        raise ValidationError("program has no conic part")
     return pre
 
 
@@ -1043,18 +1051,15 @@ def solve_socp_many(requests, traces=None):
     ``solve_socp``, and ``traces`` per request None or a list for its
     interior-point iteration rows.  Requests whose presolved programs have
     equal dimensions and settings share interior-point batches of at most
-    ``_batch_size`` instances.  Returns one entry per request, in order: its
-    ConicSolution, or the MopschedError that ``solve_socp`` would raise for it.
+    ``_batch_size`` instances.  Returns one ConicSolution per request, in
+    order; a request that cannot go on ends ``numerical_failure``.  A
+    malformed request raises its ValidationError before any batch runs.
     """
     traces = traces or [None] * len(requests)
     out = [None] * len(requests)
     groups = {}
     for i, (ir, fixings, settings) in enumerate(requests):
-        try:
-            req = _prepare(ir, fixings, settings or SolverSettings())
-        except MopschedError as exc:
-            out[i] = exc
-            continue
+        req = _prepare(ir, fixings, settings or SolverSettings())
         if isinstance(req, ConicSolution):
             out[i] = req
         else:
@@ -1064,12 +1069,9 @@ def solve_socp_many(requests, traces=None):
         for start in range(0, len(members), size):
             batch = members[start : start + size]
             stacks, scales = _scaled_batch([req for _, req in batch])
-            try:
-                raws = _solve_conelp_batch(*stacks, (l, list(qs)), st, [traces[i] for i, _ in batch])
-            except MopschedError as exc:
-                raws = [exc] * len(batch)
+            raws = _solve_conelp_batch(*stacks, (l, list(qs)), st, [traces[i] for i, _ in batch])
             for (i, req), raw, sc in zip(batch, raws, scales):
-                out[i] = raw if isinstance(raw, MopschedError) else _conic_solution(req, raw, sc)
+                out[i] = _conic_solution(req, raw, sc)
     return out
 
 
@@ -1080,7 +1082,8 @@ def solve_socp(ir, fixings=None, settings=None, trace=None):
     Returns a ConicSolution with full-variable primal values, per-row duals,
     residuals measured on the original (unscaled) data, and the duality gap.
     ``trace`` names a CSV file for the interior-point iterations, written
-    when the program reaches the interior-point method.
+    when the program reaches the interior-point method.  Raises
+    ValidationError for a malformed request, as ``solve_socp_many`` does.
     """
     trace_rows = [] if trace is not None else None
     (sol,) = solve_socp_many([(ir, fixings, settings)], [trace_rows])
@@ -1089,8 +1092,6 @@ def solve_socp(ir, fixings=None, settings=None, trace=None):
             fh.write("iter,pcost,dcost,gap,pres,dres,tau,kappa\n")
             for row in trace_rows:
                 fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
-    if isinstance(sol, MopschedError):
-        raise sol
     return sol
 
 

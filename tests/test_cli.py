@@ -445,6 +445,19 @@ class TestRun:
         assert summary["runs"][0]["errors"] == {"2": "forced failure"}
         assert summary["runs"][1]["errors"] == {}
 
+    def test_unreachable_tolerances_finish_every_timestep(self, small_config):
+        """Solver tolerances no iterate can meet end each solve with a status,
+        so the run finishes and its summary accounts for every timestep."""
+        path, cfg = small_config
+        solver = {"feastol": 1e-15, "abstol": 1e-15, "reltol": 1e-15, "max_iter": 40}
+        path.write_text(json.dumps(dict(cfg, solver=solver)))
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((Path(cfg["output_dir"]) / "summary.json").read_text())
+        assert len(summary["runs"]) == 2
+        for run in summary["runs"]:
+            assert sum(run["status_counts"].values()) == summary["timesteps"] == 8
+
     def test_dump_ir_and_traces(self, small_config, tmp_path):
         path, cfg = small_config
         solver_trace = tmp_path / "ipm.csv"
@@ -556,6 +569,17 @@ class TestVerify:
         ]
         assert compared
         assert all(ok == passes for ok in compared)
+
+    def test_a_failed_oracle_solve_is_a_fail_row(self, small_config):
+        path, cfg = small_config
+        path.write_text(json.dumps(dict(cfg, solver={"max_iter": 2})))
+        r = CliRunner().invoke(cli.main, ["verify", "--config", str(path)])
+        assert r.exit_code == 1, r.output
+        rows = read_csv_columns(Path(cfg["output_dir"]) / "verify_report.csv")
+        oracle = [row for row in rows if row["check"].startswith("oracle_equivalence")]
+        assert len(oracle) == 3 and all(row["status"] == "FAIL" for row in oracle)
+        assert any(row["detail"].endswith("failed with status numerical_failure") for row in oracle)
+        assert "FAIL  oracle_equivalence_0" in r.output
 
     def test_corrupted_lambda_fails(self, tmp_path):
         runner = CliRunner()

@@ -25,10 +25,6 @@ class TestBranchRule:
         var, _ = M.branch({}, {"z[1]": 0.5, "z[2]": 0.5}, ("z[1]", "z[2]"))
         assert var == "z[1]"
 
-    def test_integral_means_no_branching(self):
-        var, children = M.branch({}, {"z[1]": 1.0, "z[2]": 0.0}, ("z[1]", "z[2]"))
-        assert var is None and children == ()
-
     def test_fixed_variables_skipped(self):
         var, _ = M.branch({"z[1]": 1.0}, {"z[2]": 0.4}, ("z[1]", "z[2]"))
         assert var == "z[2]"
@@ -242,22 +238,6 @@ class TestSearchFailurePaths:
         assert str(result) == "continuous solve failed with status numerical_failure"
         _, ms = run_search(ir, lambda i, r: S.ConicSolution(S.INFEASIBLE, {}, {}))
         assert (ms.status, ms.incumbent, ms.nodes_explored) == ("infeasible", None, 1)
-
-    def test_a_failed_socp_ends_only_its_search(self, grid5, monkeypatch):
-        failing, other = instance5(grid5, cardinality=1), instance5(grid5, cardinality=2)
-        want = M.solve_misocp(other)
-        error = MopschedError("forced")
-        solve_socp_many = S.solve_socp_many
-
-        def failing_many(requests):
-            solved = solve_socp_many(requests)
-            return [error if r[0] is failing else sol for r, sol in zip(requests, solved)]
-
-        monkeypatch.setattr(S, "solve_socp_many", failing_many)
-        searches = [M._branch_and_bound(ir) for ir in (failing, other)]
-        results = M._drive(searches)
-        assert results[0] is error and searches[0].gi_frame is None
-        assert_same_solution(results[1], want)
 
 
 class TestBatchWidth:

@@ -184,7 +184,7 @@ class TestParallelShares:
         one = self.schedule_on(monkeypatch, 1, grid5, 1)
         three = self.schedule_on(monkeypatch, 3, grid5, 1)
         assert one.status[4] == "error"
-        assert one.extra == {"errors": {4: "forced failure"}}
+        assert one.errors == {4: "forced failure"}
         assert _profile_bits(three) == _profile_bits(one)
 
     @pytest.mark.parametrize("t_fail, remote", [(0, False), (1, True)])

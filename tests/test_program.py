@@ -399,6 +399,22 @@ class TestStandardForm:
                     assert index[ptr[r] : ptr[r + 1]] == cols.tolist()
                     assert value[ptr[r] : ptr[r + 1]] == row[cols].tolist()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "where", ["equality_coefficient", "inequality_rhs", "cone_tail_constant", "objective_coefficient"]
+    )
+    def test_non_finite_data_rejected(self, where, bad):
+        ir = constant_tail_ir()
+        tail = ir.soc_cones[0].tail
+        changed = {
+            "equality_coefficient": dict(equalities=(Row({"y": bad, "x": 1.0}, 3.0),)),
+            "inequality_rhs": dict(inequalities=(Row({"x": -1.0}, bad),)),
+            "cone_tail_constant": dict(soc_cones=(Cone(head="t", tail=(AffExpr({}, bad), tail[1])),)),
+            "objective_coefficient": dict(objective=AffExpr({"t": bad}, 2.0)),
+        }[where]
+        with pytest.raises(ValidationError, match="non-finite coefficient or right-hand side"):
+            replace(ir, **changed).validate().standard_form
+
     def test_arrays_are_read_only(self, programs):
         sf = programs[0].standard_form
         for a in (sf.c, sf.A, sf.b, sf.G, sf.h):

@@ -197,8 +197,11 @@ def _build_setup(cfg):
         profile, peak_kw = _entry_fields(cfg.dc_der, "converter dc_der", ("profile", "peak_kw"))
         der = _mission.DerSpec(profile=profile, peak_kw=_peak(peak_kw, "converter dc_der peak_kw"))
     for load in loads:
-        if load.bus not in [b.id for b in net.buses]:
-            raise ValidationError(f"load references unknown bus {load.bus!r}")
+        if load.bus not in net.load_order:
+            raise ValidationError(
+                f"load bus {load.bus!r} is not a non-slack bus of the network"
+                f" (the slack bus is {net.slack_id!r})"
+            )
     for bid in cfg.monitored_buses or []:
         if bid not in net.load_order:
             raise ValidationError(f"monitored bus {bid!r} is not a non-slack bus of the network")

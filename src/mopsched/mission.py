@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MopschedError, ValidationError
-from .program import EC_EPS_FRACTION, UNCONSTRAINED, TimestepInput, build_timestep_program
+from .program import (
+    EC_EPS_FRACTION,
+    UNCONSTRAINED,
+    ProgramTemplate,
+    TimestepInput,
+    build_timestep_program,
+)
 from . import mip as _mip
 from . import solver as _solver
 
@@ -184,8 +190,26 @@ def _timestep_program(grid, conv, horizon, t):
     return build_timestep_program(grid, conv, ts)
 
 
+def _timestep_programs(grid, conv, horizon, steps):
+    """(t, program) for each timestep t of ``steps``, one at a time.
+
+    The first is compiled in full by ``build_timestep_program``; the others
+    are re-valued from it by a ``ProgramTemplate``, except a timestep whose
+    nonzero pattern differs from the first's, which is compiled in full.
+    """
+    template = None
+    for t in steps:
+        ts = _timestep_input(grid, horizon, t, _der_output(grid, conv, horizon, t))
+        program = template and template.program(ts)
+        if program is None:
+            program = build_timestep_program(grid, conv, ts)
+            template = template or ProgramTemplate(grid, program)
+        yield t, program
+
+
 def _timestep_result(grid, conv, t, ir, ms):
-    """One mission row from timestep ``t``'s MipSolution, or the MopschedError of its solve."""
+    """One mission row from timestep ``t``'s MipSolution, or the MopschedError
+    of its solve; ``ir`` is its program, an IR or a TimestepProgram."""
     s_base = grid.s_base_kva
     baseline_kw = ir.loss_model["sigma"] * s_base
     m = conv.m
@@ -228,20 +252,25 @@ def _timestep_result(grid, conv, t, ir, ms):
 def _solve_share(task, k, shares):
     """Results of the timesteps t = k, k + shares, k + 2*shares, ... of ``task``.
 
-    The timesteps are solved by ``mip.solve_misocp_many`` in windows of as
-    many as one solver batch holds, so that a window's first wave fills a
-    batch while its programs, searches and batches stay within the solver's
-    byte budget.
+    The timesteps are solved by ``mip.solve_misocp_many`` in windows.  A
+    window of a level without binaries makes one request per timestep and
+    holds as many as one solver batch.  A level with binaries gets windows of
+    two batch widths: only the searches still open join the waves after the
+    first, and twice as many searches keep those waves' batches fuller.  A
+    window's programs share their level's compiled form
+    (``_timestep_programs``), so its programs, searches and batches stay
+    within a few times the solver's byte budget.
     """
     grid, conv, horizon, cfg, settings = task
-    steps = iter(range(k, horizon.tau, shares))
+    programs = _timestep_programs(grid, conv, horizon, range(k, horizon.tau, shares))
     results = []
-    for t in steps:
-        irs = [_timestep_program(grid, conv, horizon, t)]
-        window = [t] + list(itertools.islice(steps, _mip._batch_width(irs[0]) - 1))
-        irs += [_timestep_program(grid, conv, horizon, t) for t in window[1:]]
-        solved = _mip.solve_misocp_many(irs, cfg, settings)
-        results += [_timestep_result(grid, conv, *row) for row in zip(window, irs, solved)]
+    for t, first in programs:
+        width = _mip._batch_width(first) * (2 if first.binaries else 1)
+        window = [(t, first), *itertools.islice(programs, width - 1)]
+        solved = _mip.solve_misocp_many([program for _, program in window], cfg, settings)
+        results += [
+            _timestep_result(grid, conv, t, program, ms) for (t, program), ms in zip(window, solved)
+        ]
     return results
 
 

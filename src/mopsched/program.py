@@ -19,6 +19,13 @@ rows' tags are labels for people reading a ``serialize_ir`` dump.
 An IR also offers itself as a ``StandardForm``, the arrays of
 min c'x s.t. A x = b, G x + s = h, s in K that the solver takes, compiled
 once on first use and shared by every solve of the program.
+
+The timesteps of a cardinality level differ only in data: the voltage rows'
+and the DER pin's right-hand sides, and the loss gradient lam and constant
+sigma in the loss epigraph.  A ``ProgramTemplate`` compiles one timestep in
+full and gives each other timestep a ``TimestepProgram``: the template's form
+with those entries rewritten, and the records that the solver, the
+branch-and-bound search and the mission read.  No IR rows are built for it.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,6 +137,12 @@ class ConicProgramIR:
     # {"indicators": {binary: gated variable}, "budget": n}; {} without binaries
     cardinality: dict = field(default_factory=dict)
     converter: dict = field(default_factory=dict)  # {"k", "s_total", "p_der"}
+    # where a timestep's data enters, for ProgramTemplate: {"voltage": the
+    # grid row of each monitored bus, whose v_upper and v_lower rows lead the
+    # inequalities in that order, "der_pin": its equality or None,
+    # "loss_head": the loss-epigraph head's equality, "loss_cone": the cone
+    # whose first tail expression holds lam and sigma}; {} when built by hand
+    data_rows: dict = field(default_factory=dict)
 
     def validate(self):
         names = set(self.variables)
@@ -194,11 +208,13 @@ class StandardForm:
     rows [A; G] outside the head rows as (ptr, index, value) lists: row r's
     columns are ``index[ptr[r]:ptr[r + 1]]`` of ``by_row``, in column order,
     and their values the same slice of ``value``; ``by_col`` lists each
-    column's rows the same way.  The arrays are read-only.
+    column's rows the same way.  ``n_ineq`` counts the IR's inequalities, the
+    leading rows of G.  The arrays are read-only.
     """
 
     def __init__(self, ir):
         self.columns = columns = {v: j for j, v in enumerate(ir.variables)}
+        self.n_ineq = len(ir.inequalities)
         # the stacked rows of [A; G]: coefficients, their sign in the matrix, rhs
         stacked = [(r.coeffs, 1.0, r.rhs) for r in (*ir.equalities, *ir.inequalities)]
         for z in ir.binaries:
@@ -221,18 +237,49 @@ class StandardForm:
         for v, cf in ir.objective.coeffs.items():
             self.c[columns[v]] = cf
         self.c0 = float(ir.objective.const)
-        if not (np.isfinite(M).all() and np.isfinite(rhs).all() and np.isfinite(self.c).all()):
-            raise ValidationError("program has a non-finite coefficient or right-hand side")
+        _check_finite(M, rhs, self.c)
         nonzero = M != 0
         nonzero[head_rows] = False
         self.by_row, self.by_col = _compressed(M, nonzero), _compressed(M.T, nonzero.T)
-        for a in (M, rhs, self.c):
-            a.flags.writeable = False
-        p = len(ir.equalities)
-        self.A, self.b, self.G, self.h = M[:p], rhs[:p], M[p:], rhs[p:]
+        self.c.flags.writeable = False
+        self._set_values(M, rhs, len(ir.equalities))
         self.dims = (l, tuple(sizes))
         self.heads = tuple(columns[cone.head] for cone in ir.soc_cones)
         self.starts = tuple(l + sum(sizes[:k]) for k in range(len(sizes)))
+
+    def _set_values(self, M, rhs, p):
+        """Take the stacked matrix [A; G] and right-hand side [b; h], read-only."""
+        for a in (M, rhs):
+            a.flags.writeable = False
+        self._M, self._rhs = M, rhs
+        self.A, self.b, self.G, self.h = M[:p], rhs[:p], M[p:], rhs[p:]
+
+    def revalued(self, entries, rhs_entries):
+        """This form with other values at entries of the same nonzero pattern.
+
+        ``entries`` is a list of (stacked row, column, value, by_row slot,
+        by_col slot), the slots being the entry's positions in the value
+        lists of ``by_row`` and ``by_col``; ``rhs_entries`` a list of
+        (stacked row, value).  The copy shares everything but the values.
+        """
+        form = object.__new__(StandardForm)
+        form.__dict__.update(self.__dict__)
+        M, rhs = self._M.copy(), self._rhs.copy()
+        by_row, by_col = list(self.by_row[2]), list(self.by_col[2])
+        for r, j, value, row_slot, col_slot in entries:
+            M[r, j] = by_row[row_slot] = by_col[col_slot] = value
+        for r, value in rhs_entries:
+            rhs[r] = value
+        _check_finite(M, rhs)
+        form.by_row = (*self.by_row[:2], by_row)
+        form.by_col = (*self.by_col[:2], by_col)
+        form._set_values(M, rhs, len(self.b))
+        return form
+
+
+def _check_finite(*arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValidationError("program has a non-finite coefficient or right-hand side")
 
 
 def _compressed(M, mask):
@@ -240,6 +287,60 @@ def _compressed(M, mask):
     rows, index = np.nonzero(mask)
     ptr = np.searchsorted(rows, np.arange(len(M) + 1))
     return ptr.tolist(), index.tolist(), M[rows, index].tolist()
+
+
+def _folded(grid, ts):
+    """``grid`` with the timestep's background injections folded in."""
+    if ts.background_injections is None:
+        return grid
+    return grid.fold_background(ts.background_injections)
+
+
+class _Entries(NamedTuple):
+    """The numbers a timestep's data puts into its program."""
+
+    lam: list  # the loss gradient, per x variable
+    sigma: float  # the loss constant
+    voltage: list  # v_upper and v_lower right-hand sides of each monitored bus, in row order
+    der_pin: float  # the DER pin's right-hand side
+    nonzero: list  # the x variables j with lam_j != 0, which the loss rows hold
+    head: tuple  # the loss-epigraph head row's coefficients on them and its right-hand side
+    tail: tuple  # the loss cone's first tail expression's coefficients on them and its constant
+
+
+def _entries(grid, ts, bus_rows):
+    """The entries a timestep's data sets; ``grid`` has its background folded in.
+
+    Both ``build_timestep_program`` and ``ProgramTemplate`` read them from
+    here.  The loss epigraph's head row is U = (t + 1)/2 and its cone's first
+    tail expression (t - 1)/2, with t = P_loss_ntwk - lam.x - sigma.
+    """
+    quad = grid.loss_quad
+    lam = [float(v) for v in quad.lam]
+    sigma = float(quad.sigma)
+    voltage = []
+    for r in bus_rows:
+        voltage += [float(ts.v_max - grid.b[r]), float(grid.b[r] - ts.v_min)]
+    nonzero = [j for j, v in enumerate(lam) if v != 0.0]
+    return _Entries(
+        lam=lam,
+        sigma=sigma,
+        voltage=voltage,
+        der_pin=float(ts.p_der),
+        nonzero=nonzero,
+        head=([0.5 * lam[j] for j in nonzero], 0.5 * (1.0 - sigma)),
+        tail=([-0.5 * lam[j] for j in nonzero], -0.5 * sigma - 0.5),
+    )
+
+
+def _loss_model(x_vars, Lambda, entries):
+    return {
+        "x_vars": x_vars,
+        "Lambda": Lambda,
+        "lam": entries.lam,
+        "sigma": entries.sigma,
+        "epigraph_var": "P_loss_ntwk",
+    }
 
 
 def build_timestep_program(grid, conv, ts):
@@ -259,10 +360,16 @@ def build_timestep_program(grid, conv, ts):
     if ts.p_der != 0.0 and not conv.has_dc_der:
         raise ValidationError("p_der given but converter has no dc-link DER")
 
-    if ts.background_injections is not None:
-        grid = grid.fold_background(ts.background_injections)
-    quad = grid.loss_quad
-    F = quad.F  # Lambda = F^T F, for the conic loss epigraph
+    grid = _folded(grid, ts)
+    mon = ts.monitored_buses
+    unknown = [b for b in mon or () if b not in grid.bus_order]
+    if unknown:
+        raise ValidationError(f"monitored buses {unknown} are not non-slack buses of the grid")
+    bus_rows = range(len(grid.bus_order)) if mon is None else [
+        grid.bus_order.index(b) for b in mon
+    ]
+    data = _entries(grid, ts, bus_rows)
+    F = grid.loss_quad.F  # Lambda = F^T F, for the conic loss epigraph
 
     p_c = [f"P_c[{i + 1}]" for i in range(m)]
     q_c = [f"Q_c[{i + 1}]" for i in range(m)]
@@ -274,12 +381,15 @@ def build_timestep_program(grid, conv, ts):
     z = [f"z[{i + 1}]" for i in range(m)] if n_card != UNCONSTRAINED else []
     variables = tuple(p_c + q_c + s_c + p_dc + p_lc + [p_ln, u_ln] + z)
     x_vars = p_c + q_c
+    lam_vars = [x_vars[j] for j in data.nonzero]
 
     equalities = []
     # dc-link power balance over all dc-side entries.
     equalities.append(Row({v: 1.0 for v in p_dc}, 0.0, tag="dc_balance"))
+    der_pin = None
     if conv.has_dc_der:
-        equalities.append(Row({p_dc[m]: 1.0}, float(ts.p_der), tag="der_pin"))
+        der_pin = len(equalities)
+        equalities.append(Row({p_dc[m]: 1.0}, data.der_pin, tag="der_pin"))
     # per-leg balance and linear converter loss.
     for i in range(m):
         equalities.append(
@@ -289,27 +399,18 @@ def build_timestep_program(grid, conv, ts):
             Row({p_lc[i]: 1.0, s_c[i]: -conv.k}, 0.0, tag=f"conv_loss[{i + 1}]")
         )
     # loss-cone head: U = (t + 1)/2 with t = P_loss_ntwk - lam.x - sigma.
-    head_row = {u_ln: 1.0, p_ln: -0.5}
-    for j, v in enumerate(x_vars):
-        if quad.lam[j] != 0.0:
-            head_row[v] = 0.5 * float(quad.lam[j])
-    equalities.append(Row(head_row, 0.5 * (1.0 - float(quad.sigma)), tag="loss_epigraph_head"))
+    head_coeffs, head_rhs = data.head
+    head_row = {u_ln: 1.0, p_ln: -0.5, **dict(zip(lam_vars, head_coeffs))}
+    loss_head = len(equalities)
+    equalities.append(Row(head_row, head_rhs, tag="loss_epigraph_head"))
 
     inequalities = []
-    mon = ts.monitored_buses
-    unknown = [b for b in mon or () if b not in grid.bus_order]
-    if unknown:
-        raise ValidationError(f"monitored buses {unknown} are not non-slack buses of the grid")
-    bus_rows = range(len(grid.bus_order)) if mon is None else [
-        grid.bus_order.index(b) for b in mon
-    ]
-    for r in bus_rows:
+    upper, lower = data.voltage[0::2], data.voltage[1::2]
+    for r, up, low in zip(bus_rows, upper, lower):
         bus = grid.bus_order[r]
         coeffs = {v: float(grid.K[r, j]) for j, v in enumerate(x_vars) if grid.K[r, j] != 0.0}
-        inequalities.append(Row(dict(coeffs), float(ts.v_max - grid.b[r]), tag=f"v_upper[{bus}]"))
-        inequalities.append(
-            Row({v: -c for v, c in coeffs.items()}, float(grid.b[r] - ts.v_min), tag=f"v_lower[{bus}]")
-        )
+        inequalities.append(Row(dict(coeffs), up, tag=f"v_upper[{bus}]"))
+        inequalities.append(Row({v: -c for v, c in coeffs.items()}, low, tag=f"v_lower[{bus}]"))
     inequalities.append(Row({v: 1.0 for v in s_c}, float(conv.s_total), tag="capacity"))
 
     big_m = None
@@ -326,27 +427,17 @@ def build_timestep_program(grid, conv, ts):
         for i in range(m)
     ]
     # ||((t-1)/2, F x)|| <= (t+1)/2 = U  <=>  ||F x||^2 <= t.
-    tail = [
-        AffExpr(
-            {p_ln: 0.5, **{v: -0.5 * float(quad.lam[j]) for j, v in enumerate(x_vars) if quad.lam[j] != 0.0}},
-            -0.5 * float(quad.sigma) - 0.5,
-        )
-    ]
+    tail_coeffs, tail_const = data.tail
+    tail = [AffExpr({p_ln: 0.5, **dict(zip(lam_vars, tail_coeffs))}, tail_const)]
     for r in range(F.shape[0]):
         tail.append(
             AffExpr({v: float(F[r, j]) for j, v in enumerate(x_vars) if F[r, j] != 0.0})
         )
+    loss_cone = len(cones)
     cones.append(Cone(head=u_ln, tail=tuple(tail)))
 
     objective = AffExpr({p_ln: 1.0, **{v: 1.0 for v in p_lc}}, 0.0)
-
-    loss_model = {
-        "x_vars": list(x_vars),
-        "Lambda": [[float(v) for v in row] for row in quad.Lambda],
-        "lam": [float(v) for v in quad.lam],
-        "sigma": float(quad.sigma),
-        "epigraph_var": p_ln,
-    }
+    Lambda = [[float(v) for v in row] for row in grid.loss_quad.Lambda]
 
     ir = ConicProgramIR(
         variables=variables,
@@ -356,7 +447,7 @@ def build_timestep_program(grid, conv, ts):
         binaries=tuple(z),
         objective=objective,
         big_m=big_m,
-        loss_model=loss_model,
+        loss_model=_loss_model(list(x_vars), Lambda, data),
         cardinality=(
             {"indicators": dict(zip(z, s_c)), "budget": int(n_card)} if z else {}
         ),
@@ -365,8 +456,89 @@ def build_timestep_program(grid, conv, ts):
             "s_total": float(conv.s_total),
             "p_der": float(ts.p_der),
         },
+        data_rows={
+            "voltage": list(bus_rows),
+            "der_pin": der_pin,
+            "loss_head": loss_head,
+            "loss_cone": loss_cone,
+        },
     )
     return ir.validate()
+
+
+class TimestepProgram(NamedTuple):
+    """What the solver, the branch-and-bound search and the mission read of a
+    timestep's program; a ConicProgramIR offers the same attributes."""
+
+    standard_form: StandardForm
+    variables: tuple
+    binaries: tuple
+    cardinality: dict
+    big_m: object
+    loss_model: dict
+
+
+class ProgramTemplate:
+    """A level's program, compiled once and re-valued for its other timesteps.
+
+    ``ir`` is the program ``build_timestep_program`` made on ``grid`` for one
+    timestep of the level.  ``program(ts)`` gives the TimestepProgram of
+    another timestep of the level (same converter, cardinality limit and
+    monitored buses): ``ir``'s standard form with the entries ``_entries``
+    sets rewritten, sharing the form's columns, cone layout, c and the index
+    lists of ``by_row`` and ``by_col``.  It returns None when the
+    timestep's nonzero pattern differs from ``ir``'s, which happens where a
+    loss-gradient entry is exactly 0 in one and not the other; compile such a
+    timestep in full.
+    """
+
+    def __init__(self, grid, ir):
+        self.grid, self.ir = grid, ir
+        sf, rows, lm = ir.standard_form, ir.data_rows, ir.loss_model
+        p = len(sf.b)
+        self.bus_rows = rows["voltage"]
+        self.has_der = rows["der_pin"] is not None
+        self.nonzero = [j for j, v in enumerate(lm["lam"]) if v != 0.0]
+        head, tail = rows["loss_head"], p + sf.starts[rows["loss_cone"]] + 1
+        # the stacked rows whose right-hand sides a timestep sets, in _Entries order
+        self.rhs_rows = [p + i for i in range(2 * len(self.bus_rows))]
+        self.rhs_rows += [rows["der_pin"]] * self.has_der + [head, tail]
+
+        def slot(compressed, major, minor):
+            ptr, index, _ = compressed
+            return ptr[major] + index[ptr[major] : ptr[major + 1]].index(minor)
+
+        # (row, column, by_row slot, by_col slot) of the head's, then the tail's, lam entries
+        cols = [sf.columns[lm["x_vars"][j]] for j in self.nonzero]
+        self.lam_entries = [
+            (r, j, slot(sf.by_row, r, j), slot(sf.by_col, j, r)) for r in (head, tail) for j in cols
+        ]
+
+    def program(self, ts):
+        """Timestep ``ts``'s TimestepProgram, or None when its nonzero pattern differs."""
+        if ts.p_der != 0.0 and not self.has_der:
+            raise ValidationError("p_der given but converter has no dc-link DER")
+        data = _entries(_folded(self.grid, ts), ts, self.bus_rows)
+        if data.nonzero != self.nonzero:
+            return None
+        (head, head_rhs), (tail, tail_const) = data.head, data.tail
+        rhs = data.voltage + [data.der_pin] * self.has_der + [head_rhs, tail_const]
+        # a tail expression's G row holds minus its coefficients
+        values = head + [-cf for cf in tail]
+        ir = self.ir
+        form = ir.standard_form.revalued(
+            [(r, j, v, a, b) for (r, j, a, b), v in zip(self.lam_entries, values)],
+            list(zip(self.rhs_rows, rhs)),
+        )
+        lm = ir.loss_model
+        return TimestepProgram(
+            standard_form=form,
+            variables=ir.variables,
+            binaries=ir.binaries,
+            cardinality=ir.cardinality,
+            big_m=ir.big_m,
+            loss_model=_loss_model(lm["x_vars"], lm["Lambda"], data),
+        )
 
 
 def big_m_value(conv):

@@ -47,7 +47,7 @@ Pipeline for a program IR:  take its standard form, compiled once per IR
 -> substitution presolve, which selects rows and columns of the form ->
 Ruiz equilibration of the batch's stacks -> interior-point solve -> unscale
 -> full-variable solution, and per-row duals scattered back onto the form's
-rows.
+rows when first read.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -102,11 +103,26 @@ class SolverSettings:
             object.__setattr__(self, name, count_setting(f"solver {name}", getattr(self, name), 0))
 
 
+class _Duals:
+    """``ConicSolution.duals``: the per-row duals, or a function of no
+    arguments that recovers them, called on first read."""
+
+    def __get__(self, sol, owner=None):
+        if sol is None:
+            raise AttributeError("duals")  # so that the field has no default
+        if callable(sol.__dict__["duals"]):
+            sol.__dict__["duals"] = sol.__dict__["duals"]()
+        return sol.__dict__["duals"]
+
+    def __set__(self, sol, value):
+        sol.__dict__["duals"] = value
+
+
 @dataclass
 class ConicSolution:
     status: str
     primal: dict
-    duals: dict
+    duals: dict = _Duals()
     objective: object = None
     gap: object = None
     relgap: object = None
@@ -715,7 +731,7 @@ class _Presolved:
         sf = self.sf = ir.standard_form
         self.st = st
         self.names = ir.variables
-        self.n_ineq = len(ir.inequalities)
+        self.n_ineq = sf.n_ineq
         p, l = len(sf.b), sf.dims[0]
         self.rhs = sf.b.tolist() + sf.h.tolist()
         ptr = sf.by_row[0]
@@ -961,7 +977,7 @@ def _prepare(ir, fixings, st):
         return ConicSolution(
             status=OPTIMAL,
             primal={v: pre.fixed[j] for j, v in enumerate(pre.names)},
-            duals=_reconstruct_duals(pre, np.zeros(0), np.zeros(0)),
+            duals=partial(_reconstruct_duals, pre, np.zeros(0), np.zeros(0)),
             objective=pre.c0,
             gap=0.0,
             relgap=0.0,
@@ -1019,7 +1035,7 @@ def _conic_solution(pre, raw, scales):
     return ConicSolution(
         status=OPTIMAL,
         primal=primal,
-        duals=_reconstruct_duals(pre, y, z),
+        duals=partial(_reconstruct_duals, pre, y, z),
         objective=float(objective),
         gap=gap,
         relgap=float(relgap),
@@ -1104,8 +1120,7 @@ def full_violation(ir, sol):
     sf = ir.standard_form
     x = np.array([sol.primal[v] for v in ir.variables])
     s = sf.h - sf.G @ x
-    n_ineq = len(ir.inequalities)
-    worst = [np.abs(sf.A @ x - sf.b).max(initial=0.0), (-s[:n_ineq]).max(initial=0.0), 0.0]
+    worst = [np.abs(sf.A @ x - sf.b).max(initial=0.0), (-s[: sf.n_ineq]).max(initial=0.0), 0.0]
     s = s.tolist()
     worst += [math.hypot(*s[i + 1 : i + q]) - s[i] for i, q in zip(sf.starts, sf.dims[1])]
     return float(max(worst))

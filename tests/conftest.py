@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from importlib import resources
 
@@ -109,38 +110,32 @@ def random_pcc_injection(rng, m, s_total):
 
 
 def fail_solve_when(monkeypatch, when, exc):
-    """Make the solve of each timestep where ``when(t, ir)`` holds raise ``exc``.
+    """Make the solve of each timestep where ``when(t, program)`` holds raise ``exc``.
 
     The failure is raised from the timestep's branch-and-bound search, the
     per-timestep entry point of ``mip.solve_misocp_many``.  The timestep is
-    read where the horizon builds its input and program, so the rule holds in
-    whichever process solves that timestep.
+    read where the horizon makes each timestep's program,
+    ``mission._timestep_programs``, so the rule holds in whichever process
+    solves that timestep.
     """
     from mopsched import mission
 
-    current = []
-    timestep_of = {}  # id of a built program -> its timestep
-    timestep_input = mission._timestep_input
-    build = mission.build_timestep_program
+    timestep_of = {}  # id of a program the horizon made -> its timestep
+    programs = mission._timestep_programs
     search = mission._mip._branch_and_bound
 
-    def recording(grid, horizon, t, p_der):
-        current.append(t)
-        return timestep_input(grid, horizon, t, p_der)
+    def recording(*args):
+        for t, program in programs(*args):
+            timestep_of[id(program)] = t
+            yield t, program
 
-    def building(grid, conv, ts):
-        ir = build(grid, conv, ts)
-        timestep_of[id(ir)] = current[-1]
-        return ir
-
-    def failing(ir, *args, **kwargs):
-        t = timestep_of.get(id(ir))  # None for a program the horizon did not build
-        if t is not None and when(t, ir):
+    def failing(program, *args, **kwargs):
+        t = timestep_of.get(id(program))  # None for a program the horizon did not make
+        if t is not None and when(t, program):
             raise exc
-        return (yield from search(ir, *args, **kwargs))
+        return (yield from search(program, *args, **kwargs))
 
-    monkeypatch.setattr(mission, "_timestep_input", recording)
-    monkeypatch.setattr(mission, "build_timestep_program", building)
+    monkeypatch.setattr(mission, "_timestep_programs", recording)
     monkeypatch.setattr(mission._mip, "_branch_and_bound", failing)
 
 
@@ -160,8 +155,8 @@ def same_value(a, b):
 def assert_same_solution(got, want):
     """Two ConicSolutions, or two MipSolutions, agree in every field to the last bit."""
     assert type(got) is type(want)
-    for name, value in vars(want).items():
-        other = getattr(got, name)
+    for name in (f.name for f in dataclasses.fields(want)):
+        value, other = getattr(want, name), getattr(got, name)
         if name == "incumbent" and value is not None:
             assert_same_solution(other, value)
         else:

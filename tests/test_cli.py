@@ -188,6 +188,11 @@ def _repeated_level(tmp_path, cfg):
     return _run(tmp_path)
 
 
+def _load_at_the_slack(tmp_path, cfg):
+    cfg["loads"][0]["bus"] = "bus_1"
+    return _run(tmp_path)
+
+
 def _repeated_profile_columns(tmp_path, cfg):
     # every column twice: read as one column each, they would make a 4-step
     # horizon of interleaved values from a 2-row file
@@ -214,6 +219,7 @@ BAD_INPUTS = {
     "cardinality_repeated": lambda d, cfg: _run(d, "--cardinality", "1,1"),
     "cardinality_repeated_config": _repeated_level,
     "profiles_repeated_column": _repeated_profile_columns,
+    "load_at_the_slack": _load_at_the_slack,
 }
 
 
@@ -259,6 +265,15 @@ class TestRun:
         assert result.exit_code == 2
         assert "bus_99" in result.output
 
+    def test_load_at_the_slack_exits_2(self, small_config):
+        path, cfg = small_config
+        cfg["loads"][0]["bus"] = "bus_1"
+        path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "load bus 'bus_1' is not a non-slack bus" in result.output
+        assert "the slack bus is 'bus_1'" in result.output
+
     def test_empty_cardinality_warns_exit_0(self, small_config):
         path, cfg = small_config
         cfg["cardinality"] = []
@@ -285,6 +300,15 @@ class TestRun:
         result = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
         assert result.exit_code == 2
         assert "bus_99" in result.output
+
+    def test_load_at_the_slack_exits_2(self, small_config):
+        path, cfg = small_config
+        cfg["loads"][0]["bus"] = "bus_1"
+        path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "load bus 'bus_1' is not a non-slack bus" in result.output
+        assert "the slack bus is 'bus_1'" in result.output
 
     def test_boolean_cardinality_exits_2(self, small_config):
         path, cfg = small_config

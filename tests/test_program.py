@@ -18,9 +18,11 @@ from mopsched.program import (
     Cone,
     ConicProgramIR,
     ConverterSpec,
+    ProgramTemplate,
     Row,
     StandardForm,
     TimestepInput,
+    TimestepProgram,
     big_m_value,
     build_timestep_program,
     serialize_ir,
@@ -141,6 +143,7 @@ class TestStructure:
             big_m=None,
             loss_model=full.loss_model,
             converter=full.converter,
+            data_rows=full.data_rows,
         )
         assert stripped == instance5(grid5, cardinality=UNCONSTRAINED)
 
@@ -439,3 +442,98 @@ class TestStandardForm:
         assert again.standard_form is not ir.standard_form
         assert again.standard_form.c0 == 1.0 and ir.standard_form.c0 == 0.0
         assert len(compiled) == 2 and compiled[1] is again
+
+
+def form_bytes(program):
+    """The standard form's arrays and sparse views, to the last bit."""
+    sf = program.standard_form
+    arrays = [(a.shape, a.tobytes()) for a in (sf.c, sf.A, sf.b, sf.G, sf.h)]
+    return arrays, sf.by_row, sf.by_col
+
+
+def records(program):
+    return (
+        program.variables,
+        program.binaries,
+        program.cardinality,
+        program.big_m,
+        program.loss_model,
+    )
+
+
+class TestProgramTemplate:
+    """A level's timesteps re-valued from its first timestep's form carry the
+    bits a full compile of each gives."""
+
+    @staticmethod
+    def level(config, level, monitored=None):
+        from mopsched import cli
+
+        cfg = replace(cli.load_config(config), days=2, steps_per_day=48, monitored_buses=monitored)
+        _, grid, conv, horizon = cli._build_setup(cfg)
+        return grid, conv, horizon(level)
+
+    @pytest.mark.parametrize(
+        "config, level, monitored",
+        [
+            ("ieee33", 2, None),
+            ("ieee33", UNCONSTRAINED, None),
+            ("ieee33", 2, ["bus_6", "bus_18", "bus_25", "bus_33"]),
+            ("ieee33", UNCONSTRAINED, ["bus_6", "bus_18", "bus_25", "bus_33"]),
+            ("5bus", 1, None),
+            ("5bus", UNCONSTRAINED, None),
+        ],
+    )
+    def test_every_timestep_matches_its_full_compile(self, config, level, monitored, monkeypatch):
+        from mopsched import mission
+
+        grid, conv, hz = self.level(config, level, monitored)
+        assert hz.tau == 96 and conv.has_dc_der == (config == "5bus")
+        full = []
+        build = mission.build_timestep_program
+        monkeypatch.setattr(mission, "build_timestep_program", lambda *a: full.append(a) or build(*a))
+        programs = list(mission._timestep_programs(grid, conv, hz, range(hz.tau)))
+        assert len(full) == 1 and [t for t, _ in programs] == list(range(96))
+        first = programs[0][1].standard_form
+        for t, program in programs:
+            ir = mission._timestep_program(grid, conv, hz, t)
+            assert form_bytes(program) == form_bytes(ir), t
+            assert records(program) == records(ir), t
+            if t:
+                sf = program.standard_form
+                assert isinstance(program, TimestepProgram)
+                assert sf.c is first.c and sf.columns is first.columns
+                assert sf.by_row[1] is first.by_row[1] and sf.by_col[1] is first.by_col[1]
+
+    def test_a_changed_nonzero_pattern_compiles_in_full(self, grid5, conv5, monkeypatch):
+        """A loss-gradient entry that is exactly 0 at t=1 only (its loads are
+        off, and the grid's own gradient is 0 there) leaves that timestep out
+        of the template's pattern."""
+        from mopsched import mission
+
+        lam = grid5.full_lam.copy()
+        lam[grid5._pcc_cols()[0]] = 0.0
+        grid = replace(grid5, full_lam=lam)
+        hz = mission.HorizonInput(
+            profiles={"load": np.array([1.0, 0.0, 0.7])},
+            loads=[mission.LoadSpec("bus_2", "load", 180.0, 90.0)],
+            timestep_hours=0.5,
+            v_min=0.9,
+            v_max=1.1,
+            cardinality_limit=1,
+        )
+        full = []
+        build = mission.build_timestep_program
+        monkeypatch.setattr(mission, "build_timestep_program", lambda *a: full.append(a[2]) or build(*a))
+        programs = list(mission._timestep_programs(grid, conv5, hz, range(3)))
+        assert [ts.background_injections["bus_2"] for ts in full] == [-(0.18 + 0.09j), -0j]
+        assert [type(program) for _, program in programs] == [
+            ConicProgramIR, ConicProgramIR, TimestepProgram
+        ]
+        assert programs[1][1].loss_model["lam"][0] == 0.0
+        for t, program in programs:
+            assert form_bytes(program) == form_bytes(mission._timestep_program(grid, conv5, hz, t))
+        template = ProgramTemplate(grid, programs[1][1])
+        assert template.program(full[0]) is None
+        with pytest.raises(ValidationError, match="no dc-link DER"):
+            template.program(replace(full[0], p_der=0.1))

@@ -329,6 +329,105 @@ class TestPresolve:
         assert S.full_violation(ir, sol) <= 1e-8
 
 
+def small_ir(variables, equalities=(), inequalities=(), cones=(), objective=None):
+    return ConicProgramIR(
+        variables=variables,
+        equalities=equalities,
+        inequalities=inequalities,
+        soc_cones=cones,
+        binaries=(),
+        objective=objective,
+    ).validate()
+
+
+def t_over(*tail):
+    """The cone t >= ||tail||."""
+    return (Cone(head="t", tail=tail),)
+
+
+# rule -> (program, status, presolve message): one hand-built program per
+# presolve rule that ends the solve before the interior-point method
+PRESOLVE_RULES = {
+    "fixed_twice_to_different_values": (
+        small_ir(("x", "t"), (Row({"x": 1.0}, 1.0), Row({"x": 2.0}, 4.0)),
+                 cones=t_over(AffExpr({"x": 1.0})), objective=AffExpr({"t": 1.0})),
+        S.INFEASIBLE, "variable x forced to both 1.0 and 2.0",
+    ),
+    "degenerate_equality": (
+        small_ir(("x", "t"), (Row({"x": 1e-13}, 1.0),),
+                 cones=t_over(AffExpr({"x": 1.0})), objective=AffExpr({"t": 1.0})),
+        S.INFEASIBLE, "degenerate equality row 0",
+    ),
+    "inequality_left_with_a_negative_rhs": (
+        small_ir(("x", "t"), (Row({"x": 1.0}, 1.0),), (Row({"x": 1.0}, 0.5),),
+                 t_over(AffExpr({"x": 1.0})), AffExpr({"t": 1.0})),
+        S.INFEASIBLE, "inequality row 0 reduces to 0 <= -5.000e-01",
+    ),
+    "fixed_head_below_a_constant_tail": (
+        small_ir(("x", "t"), (Row({"t": 1.0}, 1.0), Row({"x": 1.0}, 3.0)),
+                 cones=t_over(AffExpr({"x": 1.0})), objective=AffExpr({"t": 1.0})),
+        S.INFEASIBLE, "cone 0 fixed infeasible: 1.000e+00 < 3.000e+00",
+    ),
+    "fixed_head_above_a_constant_tail": (
+        small_ir(("x", "t"), (Row({"t": 1.0}, 5.0), Row({"x": 1.0}, 3.0)),
+                 cones=t_over(AffExpr({"x": 1.0})), objective=AffExpr({"t": 1.0})),
+        S.OPTIMAL, "fully determined",
+    ),
+    "unused_variable_with_a_cost": (
+        small_ir(("t", "y"), cones=t_over(AffExpr({}, 1.0)), objective=AffExpr({"t": 1.0, "y": 1.0})),
+        S.UNBOUNDED, "variable y is unconstrained with nonzero cost",
+    ),
+    "collapsed_cone_with_a_nonzero_constant": (
+        small_ir(("t", "x"), inequalities=(Row({"t": 1.0}, 0.0),),
+                 cones=t_over(AffExpr({"x": 1.0}), AffExpr({}, 2.0)), objective=AffExpr({"x": 1.0})),
+        S.INFEASIBLE, "cone on t forces 2.000e+00 = 0",
+    ),
+}
+
+
+class TestPresolveRules:
+    @pytest.mark.parametrize("rule", sorted(PRESOLVE_RULES))
+    def test_status_and_message(self, rule):
+        ir, status, message = PRESOLVE_RULES[rule]
+        sol = S.solve_socp(ir)
+        assert (sol.status, sol.info["presolve"], sol.iterations) == (status, message, 0)
+
+    def test_equal_fixings_agree(self):
+        """x = 1 and 2x = 2 fix x twice to the same value."""
+        ir = small_ir(("x", "t"), (Row({"x": 1.0}, 1.0), Row({"x": 2.0}, 2.0)),
+                      cones=t_over(AffExpr({"x": 1.0})), objective=AffExpr({"t": 1.0}))
+        sol = S.solve_socp(ir)
+        assert sol.status == S.OPTIMAL and sol.primal["x"] == 1.0
+        assert sol.objective == pytest.approx(1.0, abs=1e-8)
+
+    def test_an_unused_cost_free_variable_is_zero(self):
+        ir = small_ir(("t", "y"), cones=t_over(AffExpr({}, 1.0)), objective=AffExpr({"t": 1.0}))
+        assert S._Presolved(ir, {}).fixed == {1: 0.0}
+        sol = S.solve_socp(ir)
+        assert sol.status == S.OPTIMAL and sol.primal["y"] == 0.0
+        assert sol.objective == pytest.approx(1.0, abs=1e-8)
+
+    def test_a_fixed_head_stays_in_h(self):
+        """t = 2 fixes the head of t >= |x|, whose tail stays free: the head
+        row keeps the value 2 in h, and min x is -2."""
+        ir = small_ir(("t", "x"), (Row({"t": 1.0}, 2.0),),
+                      cones=t_over(AffExpr({"x": 1.0})), objective=AffExpr({"x": 1.0}))
+        c, A, b, G, h = S._Presolved(ir, {}).assemble()
+        assert (c.tolist(), A.shape, G.tolist(), h.tolist()) == ([1.0], (0, 1), [[0.0], [-1.0]], [2.0, 0.0])
+        sol = S.solve_socp(ir)
+        assert sol.status == S.OPTIMAL and sol.primal["t"] == 2.0
+        assert sol.objective == pytest.approx(-2.0, abs=1e-8)
+
+    def test_post_unscale_failure(self):
+        """An iterate that meets loose interior-point tolerances fails the
+        check on the unscaled data at a tight final_tol."""
+        st = S.SolverSettings(feastol=1e-3, abstol=1e-3, reltol=1e-3, final_tol=1e-14)
+        sol = S.solve_socp(make_min_norm_ir(), settings=st)
+        assert sol.status == S.NUMERICAL_FAILURE
+        assert sol.info["note"] == "post-unscale check"
+        assert sol.info["pres"] > st.final_tol
+
+
 class TestRelaxationTightness:
     def test_tight_at_optimum(self, grid5):
         ir = instance5(grid5)

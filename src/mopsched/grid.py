@@ -16,7 +16,6 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -138,10 +137,7 @@ class BusNetwork:
 
 
 def network_from_json(doc):
-    """Build a BusNetwork from the network JSON schema (document or path)."""
-    if isinstance(doc, (str, bytes)):
-        with open(doc) as fh:
-            doc = json.load(fh)
+    """Build a BusNetwork from a parsed document of the network JSON schema."""
     try:
         slack_re, slack_im = doc["slack_voltage_pu"]
         buses = tuple(Bus(id=str(b["id"]), kind=str(b["kind"])) for b in doc["buses"])

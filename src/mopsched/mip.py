@@ -107,15 +107,18 @@ def solve_misocp(ir, cfg=None, settings=None, trace=None):
     return result
 
 
-def _batch_width(ir):
-    """Programs shaped like ``ir`` whose root SOCPs fill one solver batch.
+def window_width(ir):
+    """Programs shaped like ``ir`` that a horizon solves in one window.
 
     The root of a search solves ``ir``'s standard form with every binary
-    relaxed by its bound rows; presolve only shrinks that program, so its
-    batches hold at least this many.
+    relaxed by its bound rows; presolve only shrinks that program, so one
+    solver batch holds at least ``_solver._batch_size`` of them.  A window
+    of programs without binaries is one batch wide.  With binaries it is two:
+    only the searches still open join the waves after the first, and twice
+    as many searches keep those waves' batches fuller.
     """
     (p, n), q = ir.standard_form.A.shape, len(ir.standard_form.h)
-    return _solver._batch_size(n, p, q)
+    return _solver._batch_size(n, p, q) * (2 if ir.binaries else 1)
 
 
 def solve_misocp_many(irs, cfg=None, settings=None):

@@ -252,21 +252,16 @@ def _timestep_result(grid, conv, t, ir, ms):
 def _solve_share(task, k, shares):
     """Results of the timesteps t = k, k + shares, k + 2*shares, ... of ``task``.
 
-    The timesteps are solved by ``mip.solve_misocp_many`` in windows.  A
-    window of a level without binaries makes one request per timestep and
-    holds as many as one solver batch.  A level with binaries gets windows of
-    two batch widths: only the searches still open join the waves after the
-    first, and twice as many searches keep those waves' batches fuller.  A
-    window's programs share their level's compiled form
-    (``_timestep_programs``), so its programs, searches and batches stay
-    within a few times the solver's byte budget.
+    The timesteps are solved by ``mip.solve_misocp_many`` in windows of
+    ``mip.window_width`` timesteps.  A window's programs share their level's
+    compiled form (``_timestep_programs``), so its programs, searches and
+    batches stay within a few times the solver's byte budget.
     """
     grid, conv, horizon, cfg, settings = task
     programs = _timestep_programs(grid, conv, horizon, range(k, horizon.tau, shares))
     results = []
     for t, first in programs:
-        width = _mip._batch_width(first) * (2 if first.binaries else 1)
-        window = [(t, first), *itertools.islice(programs, width - 1)]
+        window = [(t, first), *itertools.islice(programs, _mip.window_width(first) - 1)]
         solved = _mip.solve_misocp_many([program for _, program in window], cfg, settings)
         results += [
             _timestep_result(grid, conv, t, program, ms) for (t, program), ms in zip(window, solved)

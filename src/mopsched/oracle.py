@@ -87,12 +87,13 @@ def _instance_data(ir):
         raise ValidationError("program carries no loss model metadata")
     if not ir.converter:
         raise ValidationError("program carries no converter record")
+    if "voltage" not in ir.data_rows:
+        raise ValidationError("program carries no record of its voltage rows")
     x_vars = list(lm["x_vars"])
-    # the voltage rows are the only inequalities over terminal injections alone
+    # each monitored bus's v_upper and v_lower rows lead the inequalities
     v_rows = [
         (np.array([row.coeffs.get(v, 0.0) for v in x_vars]), row.rhs)
-        for row in ir.inequalities
-        if set(row.coeffs) <= set(x_vars)
+        for row in ir.inequalities[: 2 * len(ir.data_rows["voltage"])]
     ]
     return {
         "m": len(x_vars) // 2,

@@ -204,12 +204,13 @@ class StandardForm:
     ``starts[k]`` of G and has its head in column ``heads[k]``.  A non-finite
     coefficient or right-hand side raises ValidationError.
 
-    For presolve, ``by_row`` and ``by_col`` list the nonzeros of the stacked
-    rows [A; G] outside the head rows as (ptr, index, value) lists: row r's
-    columns are ``index[ptr[r]:ptr[r + 1]]`` of ``by_row``, in column order,
-    and their values the same slice of ``value``; ``by_col`` lists each
-    column's rows the same way.  ``n_ineq`` counts the IR's inequalities, the
-    leading rows of G.  The arrays are read-only.
+    The coefficients live only in ``M``, the stacked rows [A; G], and the
+    right-hand sides in ``rhs``, [b; h]; A, G, b and h are views of them.
+    For presolve, ``by_row`` and ``by_col`` give the nonzero pattern of M
+    outside the head rows as (ptr, index) lists: row r's columns are
+    ``index[ptr[r]:ptr[r + 1]]`` of ``by_row``, in column order, and
+    ``by_col`` lists each column's rows the same way.  ``n_ineq`` counts the
+    IR's inequalities, the leading rows of G.  The arrays are read-only.
     """
 
     def __init__(self, ir):
@@ -240,7 +241,7 @@ class StandardForm:
         _check_finite(M, rhs, self.c)
         nonzero = M != 0
         nonzero[head_rows] = False
-        self.by_row, self.by_col = _compressed(M, nonzero), _compressed(M.T, nonzero.T)
+        self.by_row, self.by_col = _pattern(nonzero), _pattern(nonzero.T)
         self.c.flags.writeable = False
         self._set_values(M, rhs, len(ir.equalities))
         self.dims = (l, tuple(sizes))
@@ -251,28 +252,25 @@ class StandardForm:
         """Take the stacked matrix [A; G] and right-hand side [b; h], read-only."""
         for a in (M, rhs):
             a.flags.writeable = False
-        self._M, self._rhs = M, rhs
+        self.M, self.rhs = M, rhs
         self.A, self.b, self.G, self.h = M[:p], rhs[:p], M[p:], rhs[p:]
 
     def revalued(self, entries, rhs_entries):
-        """This form with other values at entries of the same nonzero pattern.
+        """This form with other values at entries of its nonzero pattern.
 
-        ``entries`` is a list of (stacked row, column, value, by_row slot,
-        by_col slot), the slots being the entry's positions in the value
-        lists of ``by_row`` and ``by_col``; ``rhs_entries`` a list of
-        (stacked row, value).  The copy shares everything but the values.
+        ``entries`` is a list of (stacked row, column, value) and
+        ``rhs_entries`` a list of (stacked row, value).  The copy has its own
+        M and rhs and shares everything else, ``by_row`` and ``by_col``
+        included.
         """
         form = object.__new__(StandardForm)
         form.__dict__.update(self.__dict__)
-        M, rhs = self._M.copy(), self._rhs.copy()
-        by_row, by_col = list(self.by_row[2]), list(self.by_col[2])
-        for r, j, value, row_slot, col_slot in entries:
-            M[r, j] = by_row[row_slot] = by_col[col_slot] = value
+        M, rhs = self.M.copy(), self.rhs.copy()
+        for r, j, value in entries:
+            M[r, j] = value
         for r, value in rhs_entries:
             rhs[r] = value
         _check_finite(M, rhs)
-        form.by_row = (*self.by_row[:2], by_row)
-        form.by_col = (*self.by_col[:2], by_col)
         form._set_values(M, rhs, len(self.b))
         return form
 
@@ -282,11 +280,11 @@ def _check_finite(*arrays):
         raise ValidationError("program has a non-finite coefficient or right-hand side")
 
 
-def _compressed(M, mask):
-    """(ptr, index, value) lists of the entries of M where mask holds, row by row."""
+def _pattern(mask):
+    """(ptr, index) lists of the entries where mask holds, row by row."""
     rows, index = np.nonzero(mask)
-    ptr = np.searchsorted(rows, np.arange(len(M) + 1))
-    return ptr.tolist(), index.tolist(), M[rows, index].tolist()
+    ptr = np.searchsorted(rows, np.arange(len(mask) + 1))
+    return ptr.tolist(), index.tolist()
 
 
 def _folded(grid, ts):
@@ -485,8 +483,8 @@ class ProgramTemplate:
     timestep of the level.  ``program(ts)`` gives the TimestepProgram of
     another timestep of the level (same converter, cardinality limit and
     monitored buses): ``ir``'s standard form with the entries ``_entries``
-    sets rewritten, sharing the form's columns, cone layout, c and the index
-    lists of ``by_row`` and ``by_col``.  It returns None when the
+    sets rewritten in its matrix and right-hand side, sharing the form's
+    columns, cone layout, c and nonzero pattern.  It returns None when the
     timestep's nonzero pattern differs from ``ir``'s, which happens where a
     loss-gradient entry is exactly 0 in one and not the other; compile such a
     timestep in full.
@@ -503,16 +501,9 @@ class ProgramTemplate:
         # the stacked rows whose right-hand sides a timestep sets, in _Entries order
         self.rhs_rows = [p + i for i in range(2 * len(self.bus_rows))]
         self.rhs_rows += [rows["der_pin"]] * self.has_der + [head, tail]
-
-        def slot(compressed, major, minor):
-            ptr, index, _ = compressed
-            return ptr[major] + index[ptr[major] : ptr[major + 1]].index(minor)
-
-        # (row, column, by_row slot, by_col slot) of the head's, then the tail's, lam entries
+        # (row, column) of the head's, then the tail's, lam entries
         cols = [sf.columns[lm["x_vars"][j]] for j in self.nonzero]
-        self.lam_entries = [
-            (r, j, slot(sf.by_row, r, j), slot(sf.by_col, j, r)) for r in (head, tail) for j in cols
-        ]
+        self.lam_entries = [(r, j) for r in (head, tail) for j in cols]
 
     def program(self, ts):
         """Timestep ``ts``'s TimestepProgram, or None when its nonzero pattern differs."""
@@ -527,7 +518,7 @@ class ProgramTemplate:
         values = head + [-cf for cf in tail]
         ir = self.ir
         form = ir.standard_form.revalued(
-            [(r, j, v, a, b) for (r, j, a, b), v in zip(self.lam_entries, values)],
+            [(r, j, v) for (r, j), v in zip(self.lam_entries, values)],
             list(zip(self.rhs_rows, rhs)),
         )
         lm = ir.loss_model

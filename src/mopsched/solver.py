@@ -72,7 +72,7 @@ NUMERICAL_FAILURE = "numerical_failure"
 # width: 5 instances of an ieee33 branch-and-bound relaxation (KKT 136), 7 of
 # an unconstrained ieee33 program (KKT 119), 45 of a 5-bus DER program with
 # binaries (KKT 50) and 68 of an unconstrained one (KKT 41).  A horizon's
-# windows are as wide (mip._batch_width), so a wider batch also holds more
+# windows are sized by it (mip.window_width), so a wider batch also holds more
 # programs and searches in memory: 5-bus windows of 45 and 68 run the
 # benchmark's 5bus_der workload about a fifth faster than windows of 24,
 # for about 3 % more peak resident memory.
@@ -710,14 +710,15 @@ class _Presolved:
     """One request: its program after fixings and presolve, rows and columns
     of ``ir.standard_form``, with its settings ``st``.
 
-    Presolve works on the stacked rows [A; G] of the form: a fixed variable
-    is substituted into the right-hand side ``rhs`` of each row where it has
-    a nonzero, a row's in column order, and ``count`` holds each row's
-    nonzeros on the columns not yet substituted.  A fixed binary's two bound
-    rows are dropped; an unfixed one keeps them, relaxed to [0, 1].  Each
-    round substitutes the variables fixed since the last one, then applies
-    the rules to the rows with at most one nonzero left (``low``) and to the
-    cones: an equality with one nonzero fixes its variable, an empty row is
+    Presolve works on the stacked rows [A; G] of the form, reading each
+    coefficient from ``sf.M`` where the form's nonzero pattern has one: a
+    fixed variable is substituted into the right-hand side ``rhs`` of each
+    row where it has a nonzero, a row's in column order, and ``count``
+    holds each row's nonzeros on the columns not yet substituted.  A fixed
+    binary's two bound rows are dropped; an unfixed one keeps them, relaxed
+    to [0, 1].  Each round substitutes the variables fixed since the last
+    one, then applies the rules to the rows with at most one nonzero left
+    (``low``) and to the cones: an equality with one nonzero fixes its variable, an empty row is
     checked and dropped, an inequality that forces a cone head to zero
     collapses the cone, and a cone with a fixed head and a constant tail is
     checked and dropped.  A collapsed cone's tail row with two or more free
@@ -733,7 +734,7 @@ class _Presolved:
         self.names = ir.variables
         self.n_ineq = sf.n_ineq
         p, l = len(sf.b), sf.dims[0]
-        self.rhs = sf.b.tolist() + sf.h.tolist()
+        self.rhs = sf.rhs.tolist()
         ptr = sf.by_row[0]
         self.count = [b - a for a, b in zip(ptr, ptr[1:])]
         # the equality and linear rows not dropped; a cone's rows go with it
@@ -787,13 +788,13 @@ class _Presolved:
 
     def _substitute(self):
         """Substitute the variables fixed since the last call."""
-        ptr, rows, vals = self.sf.by_col
-        rhs, count, live = self.rhs, self.count, self.live
+        ptr, rows = self.sf.by_col
+        M, rhs, count, live = self.sf.M, self.rhs, self.count, self.live
         # in column order, so that each row takes its terms in column order
         for j in sorted(self.pending):
             val = self.fixed[j]
-            for r, g in zip(rows[ptr[j] : ptr[j + 1]], vals[ptr[j] : ptr[j + 1]]):
-                rhs[r] -= g * val
+            for r in rows[ptr[j] : ptr[j + 1]]:
+                rhs[r] -= M.item(r, j) * val
                 count[r] -= 1
                 if count[r] <= 1 and live[r]:
                     self.low.add(r)
@@ -804,9 +805,9 @@ class _Presolved:
 
     def _entries(self, r):
         """(column, coefficient) of row r on the columns not yet substituted."""
-        ptr, cols, vals = self.sf.by_row
-        row = zip(cols[ptr[r] : ptr[r + 1]], vals[ptr[r] : ptr[r + 1]])
-        return [(j, v) for j, v in row if j not in self.done]
+        ptr, cols = self.sf.by_row
+        M = self.sf.M
+        return [(j, M.item(r, j)) for j in cols[ptr[r] : ptr[r + 1]] if j not in self.done]
 
     def _tail_rows(self, k):
         """The stacked rows of cone k's tail expressions."""
@@ -880,7 +881,7 @@ class _Presolved:
             for t in self._tail_rows(k):
                 kept[t] = True
         used = {sf.heads[k] for k in self.cones}
-        ptr, rows, _ = sf.by_col
+        ptr, rows = sf.by_col
         for j in range(len(sf.c)):
             if j in self.fixed or j in used or any(kept[r] for r in rows[ptr[j] : ptr[j + 1]]):
                 continue

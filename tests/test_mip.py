@@ -241,17 +241,19 @@ class TestSearchFailurePaths:
 
 
 class TestBatchWidth:
-    """A horizon solves its timesteps in windows of ``_batch_width``, as many
-    root relaxations as the solver's byte budget holds; a wider window holds
-    more programs and searches at once and raises peak memory."""
+    """A horizon solves its timesteps in windows of ``window_width``: as many
+    root relaxations as the solver's byte budget holds, twice as many for a
+    level with binaries.  A wider window holds more programs and searches at
+    once and raises peak memory."""
 
-    @pytest.mark.parametrize("n, width", [(UNCONSTRAINED, 7), (1, 5), (2, 5), (3, 5)])
+    @pytest.mark.parametrize("n, width", [(UNCONSTRAINED, 7), (1, 10), (2, 10), (3, 10)])
     def test_ieee33(self, grid33, conv33, bg33, n, width):
-        assert M._batch_width(instance33(grid33, conv33, bg33, cardinality=n)) == width
+        assert M.window_width(instance33(grid33, conv33, bg33, cardinality=n)) == width
 
     @pytest.mark.parametrize("n", [UNCONSTRAINED, 1, 2])
     @pytest.mark.parametrize("p_der", [0.0, 0.12])
     def test_5bus(self, grid5, n, p_der):
-        # KKT 39 and 41 (a dc-link DER) unconstrained, 48 and 50 with binaries
-        width = {0.0: 75, 0.12: 68} if n == UNCONSTRAINED else {0.0: 48, 0.12: 45}
-        assert M._batch_width(instance5(grid5, cardinality=n, p_der=p_der)) == width[p_der]
+        # batches of 75 and 68 (KKT 39 and 41, a dc-link DER) unconstrained,
+        # 48 and 45 (KKT 48 and 50) with binaries
+        width = {0.0: 75, 0.12: 68} if n == UNCONSTRAINED else {0.0: 96, 0.12: 90}
+        assert M.window_width(instance5(grid5, cardinality=n, p_der=p_der)) == width[p_der]

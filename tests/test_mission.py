@@ -275,6 +275,16 @@ class TestSummarize:
         with pytest.raises(ValidationError, match="length"):
             MS.summarize([mp], np.zeros(3))
 
+    def test_no_profiles_rejected(self):
+        with pytest.raises(ValidationError, match="^no profiles to summarize$"):
+            MS.summarize([], np.zeros(2))
+
+    def test_profiles_over_different_horizons_rejected(self, grid5, conv5):
+        mp = MS.schedule_horizon(grid5, conv5, small_horizon(tau=2))
+        longer = dataclasses.replace(mp, p_mp=np.zeros((3, mp.m)))
+        with pytest.raises(ValidationError, match="^profiles cover different horizons$"):
+            MS.summarize([mp, longer], mp.baseline_ntwk_loss_kw)
+
 
 class TestMissionCsv:
     def test_round_trip_and_ec_recompute(self, grid5, conv5, tmp_path):
@@ -296,6 +306,22 @@ class TestMissionCsv:
 
 
 class TestHorizonValidation:
+    @pytest.mark.parametrize(
+        "profiles, timestep_hours, message",
+        [
+            ({}, 0.5, "horizon needs at least one profile series"),
+            ({"a": np.ones(0), "b": np.ones(0)}, 0.5, "horizon must cover at least one timestep"),
+            ({"a": np.ones(2)}, 0.0, "timestep duration must be positive"),
+            ({"a": np.ones(2)}, -0.5, "timestep duration must be positive"),
+        ],
+        ids=["no_profiles", "zero_length_series", "zero_timestep", "negative_timestep"],
+    )
+    def test_empty_or_instant_horizon_rejected(self, profiles, timestep_hours, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            MS.HorizonInput(
+                profiles=profiles, loads=[], timestep_hours=timestep_hours, v_min=0.9, v_max=1.1
+            )
+
     def test_unequal_series_rejected(self):
         with pytest.raises(ValidationError, match="lengths"):
             MS.HorizonInput(

@@ -1,5 +1,7 @@
 """Oracle engines: support enumeration and the refining grid scan."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,29 @@ class TestGridSearch:
         assert abs(gs.objective - sol.objective) < 1e-4
         # the scan evaluates only feasible points: never below the optimum
         assert gs.objective >= sol.objective - 1e-9
+
+    def test_matches_socp_on_lossless_5bus(self, grid5):
+        """k = 0: the scan runs over the legs' transfers alone, at full capacity."""
+        conv = ConverterSpec(pcc_buses=tuple(PCC5), s_total=0.4, k=0.0)
+        ir = instance5(grid5, conv=conv)
+        gs = O.grid_search_continuous(ir, resolution=1e-3)
+        sol = S.solve_socp(ir)
+        assert gs.status == "optimal" and sol.status == S.OPTIMAL
+        assert abs(gs.objective - sol.objective) < 1e-4
+        assert gs.objective >= sol.objective - 1e-9
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("loss_model", "program carries no loss model metadata"),
+            ("converter", "program carries no converter record"),
+            ("data_rows", "program carries no record of its voltage rows"),
+        ],
+    )
+    def test_missing_record_rejected(self, grid5, record, message):
+        ir = replace(instance5(grid5), **{record: {}})
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            O.grid_search_continuous(ir)
 
     def test_infeasible_voltage_box(self, grid5):
         ir = instance5(grid5, v=(1.02, 1.03))

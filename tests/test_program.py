@@ -390,17 +390,19 @@ class TestStandardForm:
                 assert sf.G[start, head] == -1.0 and sf.h[start] == 0.0
 
     def test_sparse_view_lists_the_nonzeros(self, programs):
-        """by_row and by_col hold [A; G]'s nonzeros outside the head rows, each once."""
+        """by_row and by_col hold the pattern of [A; G]'s nonzeros outside the
+        head rows, each once; the values live only in the stacked matrix M."""
         for ir in programs:
             sf = ir.standard_form
-            M = np.vstack([sf.A, sf.G])
+            assert np.array_equal(sf.M, np.vstack([sf.A, sf.G]))
+            assert np.array_equal(sf.rhs, np.concatenate([sf.b, sf.h]))
+            assert sf.A.base is sf.M and sf.G.base is sf.M
+            M = sf.M.copy()
             M[[len(sf.b) + start for start in sf.starts]] = 0.0
-            for (ptr, index, value), matrix in ((sf.by_row, M), (sf.by_col, M.T)):
+            for (ptr, index), matrix in ((sf.by_row, M), (sf.by_col, M.T)):
                 assert ptr[-1] == np.count_nonzero(M)
                 for r, row in enumerate(matrix):
-                    cols = np.flatnonzero(row)
-                    assert index[ptr[r] : ptr[r + 1]] == cols.tolist()
-                    assert value[ptr[r] : ptr[r + 1]] == row[cols].tolist()
+                    assert index[ptr[r] : ptr[r + 1]] == np.flatnonzero(row).tolist()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -420,7 +422,7 @@ class TestStandardForm:
 
     def test_arrays_are_read_only(self, programs):
         sf = programs[0].standard_form
-        for a in (sf.c, sf.A, sf.b, sf.G, sf.h):
+        for a in (sf.c, sf.M, sf.rhs, sf.A, sf.b, sf.G, sf.h):
             with pytest.raises(ValueError):
                 a[0] = 1.0
 
@@ -503,7 +505,8 @@ class TestProgramTemplate:
                 sf = program.standard_form
                 assert isinstance(program, TimestepProgram)
                 assert sf.c is first.c and sf.columns is first.columns
-                assert sf.by_row[1] is first.by_row[1] and sf.by_col[1] is first.by_col[1]
+                assert sf.by_row is first.by_row and sf.by_col is first.by_col
+                assert sf.M is not first.M and sf.A.base is sf.M
 
     def test_a_changed_nonzero_pattern_compiles_in_full(self, grid5, conv5, monkeypatch):
         """A loss-gradient entry that is exactly 0 at t=1 only (its loads are

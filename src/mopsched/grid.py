@@ -208,9 +208,16 @@ def _yll_factor(Y):
     return lu
 
 
+def _lu_solve(lu, rhs):
+    """lu_solve for one vector, as the first of two equal columns: LAPACK's
+    one-column solve rounds differently at one and at two BLAS threads, the
+    two-column one gives the one-thread bits at both."""
+    return scipy.linalg.lu_solve(lu, np.column_stack([rhs, rhs]))[:, 0]
+
+
 def _noload(net, Y, lu):
     """w = -YLL^-1 YL0 v_slack from the LU factors of YLL, residual-checked."""
-    w = scipy.linalg.lu_solve(lu, -Y[1:, 0] * net.slack_voltage)
+    w = _lu_solve(lu, -Y[1:, 0] * net.slack_voltage)
     resid = np.max(np.abs(Y[1:, 0] * net.slack_voltage + Y[1:, 1:] @ w))
     if resid > 1e-8:
         raise ModelError(f"no-load solve residual {resid:.3e} exceeds tolerance")
@@ -237,7 +244,7 @@ def ac_power_flow(net, injections):
     v = w.copy()
     resid = np.inf
     for it in range(PF_MAX_ITER):
-        v_new = w + scipy.linalg.lu_solve(lu, np.conj(s / v))
+        v_new = w + _lu_solve(lu, np.conj(s / v))
         if not np.all(np.isfinite(v_new)) or np.any(np.abs(v_new) < 1e-6):
             raise PowerFlowDivergence(resid if np.isfinite(resid) else np.inf, it)
         v = v_new

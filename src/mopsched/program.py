@@ -206,8 +206,8 @@ class StandardForm:
 
     The coefficients live only in ``M``, the stacked rows [A; G], and the
     right-hand sides in ``rhs``, [b; h]; A, G, b and h are views of them.
-    For presolve, ``by_row`` and ``by_col`` give the nonzero pattern of M
-    outside the head rows as (ptr, index) lists: row r's columns are
+    For presolve, ``by_row`` and ``by_col`` give the nonzero pattern of M,
+    head rows included, as (ptr, index) lists: row r's columns are
     ``index[ptr[r]:ptr[r + 1]]`` of ``by_row``, in column order, and
     ``by_col`` lists each column's rows the same way.  ``n_ineq`` counts the
     IR's inequalities, the leading rows of G.  The arrays are read-only.
@@ -221,10 +221,9 @@ class StandardForm:
         for z in ir.binaries:
             stacked += [({z: 1.0}, 1.0, 1.0), ({z: -1.0}, 1.0, 0.0)]
         l = len(stacked) - len(ir.equalities)
-        sizes, head_rows = [], []
+        sizes = []
         for cone in ir.soc_cones:
             sizes.append(1 + len(cone.tail))
-            head_rows.append(len(stacked))
             stacked.append(({cone.head: 1.0}, -1.0, 0.0))
             stacked += [(e.coeffs, -1.0, e.const) for e in cone.tail]
         # set entry by entry, so that a coefficient a row lacks stays +0.0
@@ -240,7 +239,6 @@ class StandardForm:
         self.c0 = float(ir.objective.const)
         _check_finite(M, rhs, self.c)
         nonzero = M != 0
-        nonzero[head_rows] = False
         self.by_row, self.by_col = _pattern(nonzero), _pattern(nonzero.T)
         self.c.flags.writeable = False
         self._set_values(M, rhs, len(ir.equalities))

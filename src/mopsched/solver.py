@@ -44,10 +44,10 @@ ValidationError in ``solve_socp_many`` before any batch runs.
 
 Pipeline for a program IR:  take its standard form, compiled once per IR
 -> fix the given binaries, relax the others to [0, 1] by their bound rows
--> substitution presolve, which selects rows and columns of the form ->
-Ruiz equilibration of the batch's stacks -> interior-point solve -> unscale
--> full-variable solution, and per-row duals scattered back onto the form's
-rows when first read.
+-> singleton and empty row presolve (``_Presolved``), which selects rows and
+columns of the form -> Ruiz equilibration of the batch's stacks ->
+interior-point solve -> unscale -> full-variable solution, and per-row duals
+scattered back onto the form's rows when first read.
 """
 
 from __future__ import annotations
@@ -698,10 +698,6 @@ class _Infeasible(Exception):
     """Presolve proved the program infeasible; the message says how."""
 
 
-class _Unbounded(Exception):
-    """Presolve proved the program unbounded; the message says how."""
-
-
 _FEAS_TOL = 1e-9
 _FIX_CONFLICT_TOL = 1e-7
 
@@ -713,17 +709,20 @@ class _Presolved:
     Presolve works on the stacked rows [A; G] of the form, reading each
     coefficient from ``sf.M`` where the form's nonzero pattern has one: a
     fixed variable is substituted into the right-hand side ``rhs`` of each
-    row where it has a nonzero, a row's in column order, and ``count``
-    holds each row's nonzeros on the columns not yet substituted.  A fixed
-    binary's two bound rows are dropped; an unfixed one keeps them, relaxed
-    to [0, 1].  Each round substitutes the variables fixed since the last
-    one, then applies the rules to the rows with at most one nonzero left
-    (``low``) and to the cones: an equality with one nonzero fixes its variable, an empty row is
-    checked and dropped, an inequality that forces a cone head to zero
-    collapses the cone, and a cone with a fixed head and a constant tail is
-    checked and dropped.  A collapsed cone's tail row with two or more free
-    variables becomes an equality.  When no rule fires, a variable no row
-    uses is fixed at zero.  ``free``, ``eq`` and ``g_rows`` then select the
+    row where it has a nonzero, a row's in column order (a fixed cone head's
+    value so lands in its head row), and ``count`` holds each row's nonzeros
+    on the columns not yet substituted.  A fixed binary's two bound rows are
+    dropped; an unfixed one keeps them, relaxed to [0, 1].  Each round
+    substitutes the variables fixed since the last one, then applies the
+    singleton and empty row rules (Andersen & Andersen, Math. Prog. 71,
+    1995) to the rows with at most one nonzero left (``low``): an equality
+    with one nonzero fixes its variable, an empty row is checked and
+    dropped, and an inequality that forces a cone head to zero fixes the
+    head and each tail expression's one variable and drops the cone.  Model
+    programs reach them through fixed binaries, whose off legs' big-M rows
+    zero their cones, and through a dc-link DER's pin; a zeroed tail with
+    two or more free variables, which only hand-built programs have, raises
+    ValidationError.  ``free``, ``eq`` and ``g_rows`` then select the
     program's columns, the form's equality rows and its G rows, which
     ``assemble`` slices into the ``arrays`` a batch stacks.
     """
@@ -744,7 +743,7 @@ class _Presolved:
         self.pending = []  # columns fixed but not yet substituted
         self.done = set()  # columns substituted
         self.c0 = sf.c0
-        self.removed_eq_events = []  # (form row or -1, column, coef) in elimination order
+        self.removed_eq_events = []  # (form row, column) in elimination order
         self.cone_zero_vars = set()
 
         fixings = dict(fixings or {})
@@ -809,125 +808,64 @@ class _Presolved:
         M = self.sf.M
         return [(j, M.item(r, j)) for j in cols[ptr[r] : ptr[r + 1]] if j not in self.done]
 
-    def _tail_rows(self, k):
-        """The stacked rows of cone k's tail expressions."""
-        start = len(self.sf.b) + self.sf.starts[k]
-        return range(start + 1, start + self.sf.dims[1][k])
-
     def _run(self):
-        sf = self.sf
-        p = len(sf.b)
-        lin_end = p + sf.dims[0]
-        changed = True
-        while changed:
-            changed = False
+        p = len(self.sf.b)
+        while True:
             self._substitute()
-            heads = {sf.heads[k]: k for k in self.cones}
+            heads = {self.sf.heads[k]: k for k in self.cones}
             self.low = {r for r in self.low if self.live[r]}
-            rows = sorted(self.low)
-
-            # the form's equalities, then the tail rows made equalities (whose
-            # G signs flip rhs and coef alike, so rhs / coef stands)
-            for r in [r for r in rows if r < p or r >= lin_end]:
-                idx = r if r < p else -1
+            for r in sorted(self.low):  # the equalities first
                 rhs = self.rhs[r]
                 if self.count[r] == 0:
-                    if abs(rhs) > _FEAS_TOL:
-                        raise _Infeasible(f"equality row {idx} reduces to 0 = {rhs:.3e}")
-                else:
-                    ((j, coef),) = self._entries(r)
-                    if abs(coef) < 1e-12:
-                        if abs(rhs) > _FEAS_TOL:
-                            raise _Infeasible(f"degenerate equality row {idx}")
-                    else:
-                        self._fix(j, rhs / coef)
-                        self.removed_eq_events.append((idx, j, coef))
-                self.live[r] = False
-                changed = True
-
-            for r in [r for r in rows if p <= r < lin_end]:
-                idx = r - p if r - p < self.n_ineq else -1
-                rhs = self.rhs[r]
-                if self.count[r] == 0:
-                    if rhs < -_FEAS_TOL:
+                    if r < p and abs(rhs) > _FEAS_TOL:
+                        raise _Infeasible(f"equality row {r} reduces to 0 = {rhs:.3e}")
+                    if r >= p and rhs < -_FEAS_TOL:
+                        idx = r - p if r - p < self.n_ineq else -1
                         raise _Infeasible(f"inequality row {idx} reduces to 0 <= {rhs:.3e}")
                     self.live[r] = False
-                    changed = True
                     continue
                 ((j, coef),) = self._entries(r)
-                # Cone head forced to zero collapses the whole cone block.
-                if coef > 0 and rhs / coef <= 1e-12 and j in heads:
-                    k = heads.pop(j)
-                    self._collapse_cone(k, j)
-                    self.cones.remove(k)
+                if r < p:
+                    if abs(coef) >= 1e-12:
+                        self._fix(j, rhs / coef)
+                        self.removed_eq_events.append((r, j))
+                    elif abs(rhs) > _FEAS_TOL:
+                        raise _Infeasible(f"degenerate equality row {r}")
                     self.live[r] = False
-                    changed = True
-
-            for k in list(self.cones):
-                head = sf.heads[k]
-                if head in self.fixed and not any(self.count[t] for t in self._tail_rows(k)):
-                    head_val = self.fixed[head]
-                    norm = math.hypot(*[self.rhs[t] for t in self._tail_rows(k)])
-                    if head_val < norm - 1e-7:
-                        raise _Infeasible(
-                            f"cone {k} fixed infeasible: {head_val:.3e} < {norm:.3e}"
-                        )
-                    self.cones.remove(k)
-                    changed = True
-
-        # Variables appearing nowhere: cost-free ones pin to zero.
-        kept = list(self.live)
-        for k in self.cones:
-            for t in self._tail_rows(k):
-                kept[t] = True
-        used = {sf.heads[k] for k in self.cones}
-        ptr, rows = sf.by_col
-        for j in range(len(sf.c)):
-            if j in self.fixed or j in used or any(kept[r] for r in rows[ptr[j] : ptr[j + 1]]):
-                continue
-            if abs(sf.c[j]) > 0:
-                raise _Unbounded(f"variable {self.names[j]} is unconstrained with nonzero cost")
-            self._fix(j, 0.0)
+                elif coef > 0 and rhs / coef <= 1e-12 and j in heads:
+                    self._collapse_cone(heads.pop(j), j)
+                    self.live[r] = False
+            if not self.pending:
+                return
 
     def _collapse_cone(self, k, head):
+        """Drop cone k, whose head a row forces to zero: fix the head at 0
+        and each tail expression's one free variable where it is 0."""
+        name = self.names[head]
+        self.cones.remove(k)
         self._fix(head, 0.0)
         self.cone_zero_vars.add(head)
-        for t in self._tail_rows(k):
+        start = len(self.sf.b) + self.sf.starts[k]
+        for t in range(start + 1, start + self.sf.dims[1][k]):
             # the tail expression's coefficients are minus its G row's
             coeffs = [(j, -v) for j, v in self._entries(t)]
             live = [(j, cf) for j, cf in coeffs if j not in self.fixed]
             shift = self.rhs[t] + sum(cf * self.fixed[j] for j, cf in coeffs if j in self.fixed)
-            if not live:
-                if abs(shift) > _FEAS_TOL:
-                    raise _Infeasible(f"cone on {self.names[head]} forces {shift:.3e} = 0")
-            elif len(live) == 1:
+            if len(live) > 1:
+                raise ValidationError(f"cone on {name} zeroes a tail of {len(live)} free variables")
+            if live:
                 ((j, cf),) = live
                 self._fix(j, -shift / cf)
                 self.cone_zero_vars.add(j)
-            else:
-                self.live[t] = True  # an equality now
+            elif abs(shift) > _FEAS_TOL:
+                raise _Infeasible(f"cone on {name} forces {shift:.3e} = 0")
 
     def assemble(self):
         """The presolved program's (c, A, b, G, h): rows and columns of the form."""
-        sf, free = self.sf, self.free
-        p = len(sf.b)
+        sf, free, eq, g_rows = self.sf, self.free, self.eq, self.g_rows
         rhs = np.array(self.rhs)
-        A = sf.A[self.eq[:, None], free]
-        b = rhs[self.eq]
-        tails = np.array([t for t in range(p + sf.dims[0], len(self.live)) if self.live[t]], int)
-        if len(tails):
-            # + 0.0 keeps a coefficient the row lacks at +0.0
-            A = np.vstack([A, -sf.G[tails[:, None] - p, free] + 0.0])
-            b = np.concatenate([b, -rhs[tails]])
-        G = sf.G[self.g_rows[:, None], free]
-        h = rhs[p + self.g_rows]
-        # a fixed head leaves its value in its cone's head row
-        start = self.dims[0]
-        for k, q in zip(self.cones, self.dims[1]):
-            if sf.heads[k] in self.fixed:
-                h[start] = self.fixed[sf.heads[k]]
-            start += q
-        return sf.c[free], A, b, G, h
+        A, G = sf.A[eq[:, None], free], sf.G[g_rows[:, None], free]
+        return sf.c[free], A, rhs[eq], G, rhs[len(sf.b) + g_rows]
 
 
 def _reconstruct_duals(pre, y, z):
@@ -937,16 +875,14 @@ def _reconstruct_duals(pre, y, z):
     form's rows they leave a dropped row's dual at zero.  Rows eliminated
     while fixing a variable get duals from the stationarity conditions
     c + A'y + G'z = 0 of those variables (small least-squares solve); rows
-    swallowed by a collapsed cone block are reported as zero.
+    swallowed by a zeroed cone are reported as zero.
     """
     sf = pre.sf
     y_full = np.zeros(len(sf.b))
-    y_full[pre.eq] = y[: len(pre.eq)]  # tail rows made equalities come last; no IR row
+    y_full[pre.eq] = y
     z_full = np.zeros(len(sf.h))
     z_full[pre.g_rows] = z
-    events = [
-        (row, j) for row, j, _ in pre.removed_eq_events if row >= 0 and j not in pre.cone_zero_vars
-    ]
+    events = [(row, j) for row, j in pre.removed_eq_events if j not in pre.cone_zero_vars]
     if events:
         rows, cols = (list(a) for a in zip(*events))
         grad = sf.c[cols] + y_full @ sf.A[:, cols] + z_full @ sf.G[:, cols]
@@ -963,31 +899,15 @@ def _reconstruct_duals(pre, y, z):
 
 
 def _prepare(ir, fixings, st):
-    """A _Presolved request, or the ConicSolution when presolve settles it;
-    ValidationError for a fixing that is no binary's 0 or 1, or for a
-    program that presolve leaves without a cone."""
+    """A _Presolved request, or the infeasible ConicSolution when presolve
+    proves it; ValidationError for a fixing that is no binary's 0 or 1, and
+    for a program that presolve leaves without a free column or a cone."""
     try:
         pre = _Presolved(ir, fixings, st)
     except _Infeasible as inf:
         info = {"presolve": str(inf), "certificate_residual": 0.0}
         return ConicSolution(INFEASIBLE, {}, {}, iterations=0, info=info)
-    except _Unbounded as unb:
-        return ConicSolution(UNBOUNDED, {}, {}, iterations=0, info={"presolve": str(unb)})
-
-    if not len(pre.free):
-        return ConicSolution(
-            status=OPTIMAL,
-            primal={v: pre.fixed[j] for j, v in enumerate(pre.names)},
-            duals=partial(_reconstruct_duals, pre, np.zeros(0), np.zeros(0)),
-            objective=pre.c0,
-            gap=0.0,
-            relgap=0.0,
-            primal_residual=0.0,
-            dual_residual=0.0,
-            iterations=0,
-            info={"presolve": "fully determined"},
-        )
-    if not len(pre.g_rows):
+    if not (len(pre.free) and len(pre.g_rows)):
         raise ValidationError("program has no conic part")
     return pre
 

@@ -7,6 +7,10 @@ the converter's operating range.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +91,29 @@ class TestNoLoad:
         v, _ = G.ac_power_flow(net33, np.zeros(32, complex))
         assert np.allclose(np.abs(w), 1.0, atol=1e-12)
         assert np.allclose(v[1:], w, atol=1e-12)
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        """Both fixtures' no-load voltages have the same bytes at one and at
+        two OpenBLAS threads, each count in its own process, since the count
+        is fixed when numpy loads."""
+        script = (
+            "import json; from mopsched import grid; from conftest import fixture_text\n"
+            "for name in ('network_ieee33.json', 'network_5bus.json'):\n"
+            "    net = grid.network_from_json(json.loads(fixture_text(name)))\n"
+            "    print(grid.solve_noload(net).tobytes().hex())\n"
+        )
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(Path(G.__file__).resolve().parent.parent), str(here)])
+        printed = []
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+            env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            printed.append(proc.stdout)
+        assert printed[0] == printed[1]
 
 
 class TestPowerFlow:

@@ -390,17 +390,15 @@ class TestStandardForm:
                 assert sf.G[start, head] == -1.0 and sf.h[start] == 0.0
 
     def test_sparse_view_lists_the_nonzeros(self, programs):
-        """by_row and by_col hold the pattern of [A; G]'s nonzeros outside the
-        head rows, each once; the values live only in the stacked matrix M."""
+        """by_row and by_col hold the pattern of [A; G]'s nonzeros, head rows
+        included, each once; the values live only in the stacked matrix M."""
         for ir in programs:
             sf = ir.standard_form
             assert np.array_equal(sf.M, np.vstack([sf.A, sf.G]))
             assert np.array_equal(sf.rhs, np.concatenate([sf.b, sf.h]))
             assert sf.A.base is sf.M and sf.G.base is sf.M
-            M = sf.M.copy()
-            M[[len(sf.b) + start for start in sf.starts]] = 0.0
-            for (ptr, index), matrix in ((sf.by_row, M), (sf.by_col, M.T)):
-                assert ptr[-1] == np.count_nonzero(M)
+            for (ptr, index), matrix in ((sf.by_row, sf.M), (sf.by_col, sf.M.T)):
+                assert ptr[-1] == np.count_nonzero(sf.M)
                 for r, row in enumerate(matrix):
                     assert index[ptr[r] : ptr[r + 1]] == np.flatnonzero(row).tolist()
 

@@ -8,7 +8,7 @@ against scipy's lu_factor/lu_solve wrappers, and batched solves against
 one-at-a-time solves.
 """
 
-import math
+import itertools
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -302,10 +302,10 @@ class TestFixings:
 
 
 class TestPresolve:
-    def test_collapsed_cone_tail_with_two_free_variables_becomes_an_equality(self):
+    def test_collapsed_cone_tail_with_two_free_variables_is_rejected(self):
         """t <= 0 collapses t >= ||x + y + u - 1.25||, with u = 0.25 fixed in the
-        same round: presolve adds x + y = 1, and min ||(x - 2, y)|| over it is
-        sqrt(1/2) at (1.5, -0.5)."""
+        same round: the tail x + y - 1 keeps two free variables, a case no
+        model program has, so the request is malformed."""
         ir = ConicProgramIR(
             variables=("t", "x", "y", "u", "w"),
             equalities=(Row({"u": 1.0}, 0.25),),
@@ -317,16 +317,8 @@ class TestPresolve:
             binaries=(),
             objective=AffExpr({"w": 1.0}),
         ).validate()
-        c, A, b, G, h = S._Presolved(ir, {}).assemble()
-        # the free columns x, y and w; u = 0.25 is folded into the right-hand side
-        assert A.tolist() == [[1.0, 1.0, 0.0]] and b.tolist() == [1.0]
-        sol = S.solve_socp(ir)
-        assert sol.status == S.OPTIMAL
-        assert sol.objective == pytest.approx(math.sqrt(0.5), abs=1e-7)
-        assert sol.primal["t"] == 0.0 and sol.primal["u"] == 0.25
-        assert sol.primal["x"] == pytest.approx(1.5, abs=1e-6)
-        assert sol.primal["y"] == pytest.approx(-0.5, abs=1e-6)
-        assert S.full_violation(ir, sol) <= 1e-8
+        with pytest.raises(ValidationError, match="cone on t zeroes a tail of 2 free variables"):
+            S.solve_socp(ir)
 
 
 def small_ir(variables, equalities=(), inequalities=(), cones=(), objective=None):
@@ -363,20 +355,6 @@ PRESOLVE_RULES = {
                  t_over(AffExpr({"x": 1.0})), AffExpr({"t": 1.0})),
         S.INFEASIBLE, "inequality row 0 reduces to 0 <= -5.000e-01",
     ),
-    "fixed_head_below_a_constant_tail": (
-        small_ir(("x", "t"), (Row({"t": 1.0}, 1.0), Row({"x": 1.0}, 3.0)),
-                 cones=t_over(AffExpr({"x": 1.0})), objective=AffExpr({"t": 1.0})),
-        S.INFEASIBLE, "cone 0 fixed infeasible: 1.000e+00 < 3.000e+00",
-    ),
-    "fixed_head_above_a_constant_tail": (
-        small_ir(("x", "t"), (Row({"t": 1.0}, 5.0), Row({"x": 1.0}, 3.0)),
-                 cones=t_over(AffExpr({"x": 1.0})), objective=AffExpr({"t": 1.0})),
-        S.OPTIMAL, "fully determined",
-    ),
-    "unused_variable_with_a_cost": (
-        small_ir(("t", "y"), cones=t_over(AffExpr({}, 1.0)), objective=AffExpr({"t": 1.0, "y": 1.0})),
-        S.UNBOUNDED, "variable y is unconstrained with nonzero cost",
-    ),
     "collapsed_cone_with_a_nonzero_constant": (
         small_ir(("t", "x"), inequalities=(Row({"t": 1.0}, 0.0),),
                  cones=t_over(AffExpr({"x": 1.0}), AffExpr({}, 2.0)), objective=AffExpr({"x": 1.0})),
@@ -400,13 +378,6 @@ class TestPresolveRules:
         assert sol.status == S.OPTIMAL and sol.primal["x"] == 1.0
         assert sol.objective == pytest.approx(1.0, abs=1e-8)
 
-    def test_an_unused_cost_free_variable_is_zero(self):
-        ir = small_ir(("t", "y"), cones=t_over(AffExpr({}, 1.0)), objective=AffExpr({"t": 1.0}))
-        assert S._Presolved(ir, {}).fixed == {1: 0.0}
-        sol = S.solve_socp(ir)
-        assert sol.status == S.OPTIMAL and sol.primal["y"] == 0.0
-        assert sol.objective == pytest.approx(1.0, abs=1e-8)
-
     def test_a_fixed_head_stays_in_h(self):
         """t = 2 fixes the head of t >= |x|, whose tail stays free: the head
         row keeps the value 2 in h, and min x is -2."""
@@ -426,6 +397,87 @@ class TestPresolveRules:
         assert sol.status == S.NUMERICAL_FAILURE
         assert sol.info["note"] == "post-unscale check"
         assert sol.info["pres"] > st.final_tol
+
+
+def leg(*legs):
+    """The variables of each given leg that fixing its binary off fixes."""
+    return {f"{v}[{i}]" for i in legs for v in ("P_c", "Q_c", "S_c", "P_dc", "P_loss_conv")}
+
+
+# What presolve leaves of a model program per fixing pattern, character i
+# the fixing of the (i+1)-th binary and "-" leaving it relaxed: (free
+# columns, equality rows, linear rows, cone sizes, the variables other than
+# the binaries that presolve fixes), or the message of an infeasible pattern.
+IEEE33_N2_PRESOLVED = {
+    "----": (26, 10, 78, [3, 3, 3, 3, 10], set()),
+    "0---": (20, 8, 75, [3, 3, 3, 10], leg(1)),
+    "-0--": (20, 8, 75, [3, 3, 3, 10], leg(2)),
+    "--0-": (20, 8, 75, [3, 3, 3, 10], leg(3)),
+    "---0": (20, 8, 75, [3, 3, 3, 10], leg(4)),
+    "1---": (25, 10, 76, [3, 3, 3, 3, 10], set()),
+    "-1--": (25, 10, 76, [3, 3, 3, 3, 10], set()),
+    "--1-": (25, 10, 76, [3, 3, 3, 3, 10], set()),
+    "---1": (25, 10, 76, [3, 3, 3, 3, 10], set()),
+    "0000": (2, 1, 0, [10], leg(1, 2, 3, 4)),
+    "0001": (6, 3, 66, [3, 10], leg(1, 2, 3) | {"P_dc[4]"}),
+    "0010": (6, 3, 66, [3, 10], leg(1, 2, 4) | {"P_dc[3]"}),
+    "0100": (6, 3, 66, [3, 10], leg(1, 3, 4) | {"P_dc[2]"}),
+    "1000": (6, 3, 66, [3, 10], leg(2, 3, 4) | {"P_dc[1]"}),
+    "0011": (12, 6, 67, [3, 3, 10], leg(1, 2)),
+    "0101": (12, 6, 67, [3, 3, 10], leg(1, 3)),
+    "0110": (12, 6, 67, [3, 3, 10], leg(1, 4)),
+    "1001": (12, 6, 67, [3, 3, 10], leg(2, 3)),
+    "1010": (12, 6, 67, [3, 3, 10], leg(2, 4)),
+    "1100": (12, 6, 67, [3, 3, 10], leg(3, 4)),
+    # more legs on than the budget of 2 empties the cardinality row
+    "0111": "inequality row 69 reduces to 0 <= -1.000e+00",
+    "1011": "inequality row 69 reduces to 0 <= -1.000e+00",
+    "1101": "inequality row 69 reduces to 0 <= -1.000e+00",
+    "1110": "inequality row 69 reduces to 0 <= -1.000e+00",
+    "1111": "inequality row 69 reduces to 0 <= -2.000e+00",
+}
+
+# the dc-link DER's pin fixes P_dc[3] in every pattern, and with one leg off
+# the dc balance fixes the other leg's P_dc
+FIVE_BUS_DER_N1_PRESOLVED = {
+    "--": (14, 6, 16, [3, 3, 6], {"P_dc[3]"}),
+    "0-": (7, 3, 9, [3, 6], leg(1) | {"P_dc[2]", "P_dc[3]"}),
+    "-0": (7, 3, 9, [3, 6], leg(2) | {"P_dc[1]", "P_dc[3]"}),
+    "1-": (13, 6, 14, [3, 3, 6], {"P_dc[3]"}),
+    "-1": (13, 6, 14, [3, 3, 6], {"P_dc[3]"}),
+    "00": "equality row 0 reduces to 0 = -1.200e-01",
+    "01": (6, 3, 6, [3, 6], leg(1) | {"P_dc[2]", "P_dc[3]"}),
+    "10": (6, 3, 6, [3, 6], leg(2) | {"P_dc[1]", "P_dc[3]"}),
+    "11": "inequality row 11 reduces to 0 <= -1.000e+00",
+}
+
+
+class TestPresolvedModelPrograms:
+    """What presolve leaves of the model programs for each fixing pattern that
+    branch-and-bound and the oracle ask for: none, each binary fixed off,
+    each fixed on, and every fixing of all binaries."""
+
+    @staticmethod
+    def check(ir, table):
+        m = len(ir.binaries)
+        asked = {"-" * m} | {"-" * i + c + "-" * (m - 1 - i) for i in range(m) for c in "01"}
+        asked |= {"".join(bits) for bits in itertools.product("01", repeat=m)}
+        assert set(table) == asked
+        for pattern, want in table.items():
+            fixings = {z: float(c) for z, c in zip(ir.binaries, pattern) if c != "-"}
+            if isinstance(want, str):
+                sol = S.solve_socp(ir, fixings)
+                assert (sol.status, sol.info["presolve"]) == (S.INFEASIBLE, want), pattern
+                continue
+            pre = S._Presolved(ir, fixings)
+            fixed = {ir.variables[j] for j in pre.fixed} - set(fixings)
+            assert (len(pre.free), len(pre.eq), pre.dims[0], pre.dims[1], fixed) == want, pattern
+
+    def test_ieee33_n2(self, grid33, conv33, bg33):
+        self.check(instance33(grid33, conv33, bg33, cardinality=2), IEEE33_N2_PRESOLVED)
+
+    def test_5bus_der_n1(self, grid5):
+        self.check(instance5(grid5, cardinality=1, p_der=0.12), FIVE_BUS_DER_N1_PRESOLVED)
 
 
 class TestRelaxationTightness:
@@ -452,6 +504,8 @@ class TestRelaxationTightness:
 
 class TestNoConicPart:
     def test_rejected(self):
+        """Rejected before any batch: x = 1, which presolve leaves without a
+        free column, and x + y = 1, which keeps two free variables and no cone."""
         ir = ConicProgramIR(
             variables=("x",),
             equalities=(Row({"x": 1.0}, 1.0),),
@@ -460,13 +514,10 @@ class TestNoConicPart:
             binaries=(),
             objective=AffExpr({"x": 1.0}),
         ).validate()
-        # fully determined by presolve, no cone needed
-        sol = S.solve_socp(ir)
-        assert sol.status == S.OPTIMAL and sol.primal["x"] == 1.0
-        # two free variables and no cone: rejected before any batch
-        ir = replace(ir, variables=("x", "y"), equalities=(Row({"x": 1.0, "y": 1.0}, 1.0),))
-        with pytest.raises(ValidationError, match="no conic part"):
-            S.solve_socp(ir.validate())
+        two = replace(ir, variables=("x", "y"), equalities=(Row({"x": 1.0, "y": 1.0}, 1.0),))
+        for program in (ir, two.validate()):
+            with pytest.raises(ValidationError, match="no conic part"):
+                S.solve_socp(program)
 
 
 def wrapper_kkt_solve(A, G, W2, reg, rhs, refine):
@@ -748,18 +799,6 @@ class TestSolvesShareNoState:
                     assert sol.primal[v] == one.primal[v]
 
 
-def fully_determined_ir():
-    """x = 1: presolve leaves no free variable."""
-    return ConicProgramIR(
-        variables=("x",),
-        equalities=(Row({"x": 1.0}, 1.0),),
-        inequalities=(),
-        soc_cones=(),
-        binaries=(),
-        objective=AffExpr({"x": 1.0}),
-    ).validate()
-
-
 class TestSolveSocpMany:
     """A batched solve gives every request the bits of its own ``solve_socp``."""
 
@@ -783,8 +822,6 @@ class TestSolveSocpMany:
             (der0, {z: 0.0 for z in der0.binaries}, None),
             (instance33(grid33, conv33, bg33, v=(1.0, 1.005)), {}, None),
             (n1, {z1: 0.0, z2: 0.0}, None),
-            # fully determined by presolve
-            (fully_determined_ir(), {}, None),
             # out of iterations: a numerical failure
             (instance5(grid5), {}, S.SolverSettings(max_iter=3)),
             (instance33(grid33, conv33, bg33), {}, S.SolverSettings(max_iter=4)),
@@ -810,7 +847,6 @@ class TestSolveSocpMany:
             assert_same_solution(got, want)
             statuses.add((want.status, want.info.get("presolve")))
         assert {(S.INFEASIBLE, None), (S.NUMERICAL_FAILURE, None)} <= statuses
-        assert (S.OPTIMAL, "fully determined") in statuses
         assert any(s == S.INFEASIBLE and p for s, p in statuses)
         # the 5-bus group of four shares one batch, or the budget splits it
         # into batches of three (KKT 39, W 21: 8 (2 39^2 + 21^2) = 27,864

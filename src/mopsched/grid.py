@@ -12,6 +12,10 @@ Conventions:
     (generation positive, demand negative), per-unit on ``s_base_kva``;
   * the stacked injection vector is ``x = [P..., Q...]`` over the selected
     buses, so sensitivity matrices have ``2 * n_selected`` columns.
+
+YLL, the load-bus block of the admittance matrix, is factored once per
+network by LAPACK's zgetrf and solved by zgetrs with scipy's
+``lu_factor``/``lu_solve`` semantics, called directly (see ``lapack.py``).
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
+from . import lapack
 from .errors import ModelError, PowerFlowDivergence, ValidationError
 
 PF_TOL = 1e-10
@@ -199,20 +203,32 @@ def build_admittance(net):
 
 
 def _yll_factor(Y):
-    try:
-        lu = scipy.linalg.lu_factor(Y[1:, 1:])
-    except scipy.linalg.LinAlgError as exc:
-        raise ModelError(f"load-bus admittance block is singular: {exc}") from exc
-    if not np.all(np.isfinite(lu[0])):
+    """LU factors (lu, piv) of YLL, as scipy.linalg.lu_factor gives them.
+
+    Y[1:, 1:] is a view of Y, so zgetrf factors a copy.  An exactly zero
+    pivot, or a factor that overflowed, means no no-load solution.
+    """
+    lu, piv, info = lapack.zgetrf(np.asarray_chkfinite(Y[1:, 1:]), overwrite_a=False)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal getrf")
+    if info > 0 or not np.all(np.isfinite(lu)):
         raise ModelError("load-bus admittance block is singular")
-    return lu
+    return lu, piv
+
+
+def _getrs(lu, b):
+    """scipy.linalg.lu_solve(lu, b): zgetrs on a copy of ``b``."""
+    x, info = lapack.zgetrs(*lu, np.asarray_chkfinite(b), overwrite_b=False)
+    if info:
+        raise ValueError(f"illegal value in {-info}th argument of internal getrs")
+    return x
 
 
 def _lu_solve(lu, rhs):
     """lu_solve for one vector, as the first of two equal columns: LAPACK's
     one-column solve rounds differently at one and at two BLAS threads, the
     two-column one gives the one-thread bits at both."""
-    return scipy.linalg.lu_solve(lu, np.column_stack([rhs, rhs]))[:, 0]
+    return _getrs(lu, np.column_stack([rhs, rhs]))[:, 0]
 
 
 def _noload(net, Y, lu):
@@ -373,7 +389,7 @@ def linearize(net, pcc_buses):
     Y = build_admittance(net)
     lu = _yll_factor(Y)
     w = _noload(net, Y, lu)
-    Z = scipy.linalg.lu_solve(lu, np.eye(n1, dtype=complex))
+    Z = _getrs(lu, np.eye(n1, dtype=complex))
 
     M = (np.conj(w) / np.abs(w))[:, None] * Z / np.conj(w)[None, :]
     full_K = np.hstack([np.real(M), np.imag(M)])

@@ -22,7 +22,9 @@ bits it would get alone:
   ``np.matmul`` (one gemv or gemm per instance), and ``solve(W, .)`` is a
   stacked ``np.linalg.solve`` (one dgesv per instance);
 * each instance's KKT matrix is factored by LAPACK getrf and solved by
-  getrs with iterative refinement, called directly, one call per instance;
+  getrs with iterative refinement, called directly, one call per instance
+  (scipy's ``dgetrf``/``dgetrs``, loaded without ``scipy.linalg``: see
+  ``lapack.py``);
 * Python's scalar ``min``/``max`` and ``**`` become ``np.where`` chains and
   ``np.float_power``.
 
@@ -58,9 +60,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.lapack
 
+from . import lapack
 from .errors import ValidationError, count_setting, real_setting
 
 OPTIMAL = "optimal"
@@ -305,7 +306,8 @@ def _nt_scaling(s, z, cones, W):
 #
 # The KKT matrix is [[0, A', G'], [A, 0, 0], [G, 0, -W^2]].  The direct
 # getrf/getrs calls keep scipy's handling of LAPACK's info: an exactly zero
-# pivot warns LinAlgWarning.  They check no finiteness: the program data was
+# pivot warns scipy.linalg.LinAlgWarning, the one path that imports
+# scipy.linalg.  They check no finiteness: the program data was
 # checked where its StandardForm compiled, and an instance whose NT scaling
 # leaves the cone interior takes its last step at W = I (see
 # _solve_conelp_batch), so one instance's NaN never reaches a stacked call.
@@ -348,13 +350,15 @@ def _kkt_factor(K, W, reg, n, lu_ws):
     KT[:, diag, diag] += np.where(diag < n, reg, -reg)
     lus = []
     for KTi in KT:
-        lu, piv, info = scipy.linalg.lapack.dgetrf(KTi.T, overwrite_a=True)
+        lu, piv, info = lapack.dgetrf(KTi.T, overwrite_a=True)
         if info < 0:
             raise ValueError(f"illegal value in {-info}th argument of internal getrf")
         if info > 0:
+            from scipy.linalg import LinAlgWarning
+
             warnings.warn(
                 f"Diagonal number {info} is exactly zero. Singular matrix.",
-                scipy.linalg.LinAlgWarning,
+                LinAlgWarning,
                 stacklevel=2,
             )
         lus.append((lu, piv))
@@ -364,7 +368,7 @@ def _kkt_factor(K, W, reg, n, lu_ws):
 def _getrs(lus, rhs):
     """Solve each instance's system in place in ``rhs`` and return it."""
     for (lu, piv), row in zip(lus, rhs):
-        x, info = scipy.linalg.lapack.dgetrs(lu, piv, row, overwrite_b=True)
+        x, info = lapack.dgetrs(lu, piv, row, overwrite_b=True)
         if info:
             raise ValueError(f"illegal value in {-info}th argument of internal getrs")
         if x is not row:  # getrs solves a contiguous row in place

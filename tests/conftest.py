@@ -31,6 +31,16 @@ def net33():
     return G.network_from_json(json.loads(fixture_text("network_ieee33.json")))
 
 
+def singular_load_block_network():
+    """Slack s and load buses a, b.  The s-a branch's charging cancels its
+    series admittance at a (y = -1j, half the shunt = +1j), and a has no
+    other branch, so YLL's row of a is exactly zero."""
+    return G.BusNetwork(
+        buses=(G.Bus("s", "slack"), G.Bus("a", "load"), G.Bus("b", "load")),
+        branches=(G.Branch("s", "a", 0.0, 1.0, 2.0), G.Branch("s", "b", 0.01, 0.1)),
+    )
+
+
 @pytest.fixture(scope="session")
 def grid5(net5):
     return G.linearize(net5, PCC5)

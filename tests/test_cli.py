@@ -14,9 +14,9 @@ import pytest
 from click.testing import CliRunner
 
 from mopsched import __main__ as entry
-from mopsched import cli, mission
+from mopsched import cli, grid, mission
 
-from conftest import fail_solve_when
+from conftest import fail_solve_when, singular_load_block_network
 
 
 @pytest.fixture()
@@ -451,6 +451,20 @@ class TestRun:
         assert "error:" in result.output
         assert not Path(cfg["output_dir"]).exists()
 
+    def test_singular_load_block_exits_2(self, small_config, tmp_path):
+        path, cfg = small_config
+        net = grid.network_to_json(singular_load_block_network())
+        cfg["network"] = _write(tmp_path / "network.json", json.dumps(net).encode())
+        cfg["converter"]["pcc_buses"] = ["a", "b"]
+        cfg["loads"] = [{"bus": "b", "profile": "commercial", "peak_kw": 140.0, "peak_kvar": 70.0}]
+        path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "load-bus admittance block is singular" in result.output
+        assert "Traceback" not in result.output
+        assert not Path(cfg["output_dir"]).exists()
+
     def test_summary_reports_every_status(self, small_config, monkeypatch):
         path, cfg = small_config
         # timestep 2 of the n=1 level, the first level run
@@ -778,3 +792,42 @@ class TestEntryPoint:
         proc = python_m(["-c", code], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestStartUp:
+    """A run calls scipy's LAPACK routines without importing scipy.linalg
+    (see mopsched/lapack.py)."""
+
+    ROUTINES = ("dgetrf", "dgetrs", "zgetrf", "zgetrs")
+
+    def test_a_solve_does_not_import_scipy_linalg(self, tmp_path):
+        code = f"""
+import json, sys
+from importlib import resources
+import mopsched.cli
+from mopsched import grid, solver
+from mopsched.program import ConverterSpec, TimestepInput, build_timestep_program
+doc = json.loads(resources.files("mopsched").joinpath("fixtures", "network_5bus.json").read_text())
+lg = grid.linearize(grid.network_from_json(doc), ["bus_3", "bus_5"])
+conv = ConverterSpec(pcc_buses=("bus_3", "bus_5"), s_total=0.4, k=0.01)
+ts = TimestepInput(v_min=0.9, v_max=1.1, background_injections={{"bus_2": -(0.2 + 0.1j)}})
+sol = solver.solve_socp(build_timestep_program(lg, conv, ts), {{}})
+print(sol.status, "scipy.linalg" in sys.modules)
+import scipy.linalg.lapack
+from mopsched import lapack
+print(all(getattr(lapack, f) is getattr(scipy.linalg.lapack, f) for f in {self.ROUTINES!r}))
+"""
+        proc = python_m(["-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["optimal", "False", "True"]
+
+    def test_routines_are_scipy_linalg_lapack_ones(self, tmp_path):
+        code = (
+            "import scipy.linalg.lapack\n"
+            "from mopsched import lapack\n"
+            "print(all(getattr(lapack, f) is getattr(scipy.linalg.lapack, f)"
+            f" for f in {self.ROUTINES!r}))"
+        )
+        proc = python_m(["-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"

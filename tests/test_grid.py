@@ -10,15 +10,17 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mopsched import grid as G
 from mopsched.errors import ModelError, PowerFlowDivergence, ValidationError
 
-from conftest import PCC33, fixture_text
+from conftest import PCC33, fixture_text, singular_load_block_network
 
 
 def two_bus_load_voltage(z, v0, s):
@@ -51,11 +53,22 @@ class TestAdmittance:
                 branches=(G.Branch("a", "b", 0.1, 0.1),),
             )
 
-    def test_zero_impedance_rejected(self):
-        with pytest.raises(ModelError, match="zero impedance"):
+    @pytest.mark.parametrize(
+        "r, x, b_shunt, message",
+        [
+            (0.0, 0.0, 0.0, "zero impedance"),
+            (-0.01, 0.1, 0.0, "negative resistance"),
+            (float("nan"), 0.1, 0.0, "non-finite parameter"),
+            (0.01, float("inf"), 0.0, "non-finite parameter"),
+            (0.01, 0.1, float("-inf"), "non-finite parameter"),
+        ],
+        ids=["zero-impedance", "negative-r", "nan-r", "inf-x", "inf-b-shunt"],
+    )
+    def test_bad_branch_rejected(self, r, x, b_shunt, message):
+        with pytest.raises(ModelError, match=message):
             G.BusNetwork(
                 buses=(G.Bus("a", "slack"), G.Bus("b", "load")),
-                branches=(G.Branch("a", "b", 0.0, 0.0),),
+                branches=(G.Branch("a", "b", r, x, b_shunt),),
             )
 
     def test_ieee33_shape_and_invertibility(self, net33):
@@ -114,6 +127,52 @@ class TestNoLoad:
             assert proc.returncode == 0, proc.stderr
             printed.append(proc.stdout)
         assert printed[0] == printed[1]
+
+
+class TestYllLapack:
+    """zgetrf/zgetrs called directly give scipy's lu_factor/lu_solve bits,
+    and a singular YLL is a ModelError."""
+
+    @pytest.mark.parametrize("name", ["net5", "net33"])
+    def test_bitwise_equal_to_wrappers(self, name, request):
+        Y = G.build_admittance(request.getfixturevalue(name))
+        before = Y.tobytes()
+        lu, piv = G._yll_factor(Y)
+        want_lu, want_piv = scipy.linalg.lu_factor(Y[1:, 1:])
+        assert Y.tobytes() == before  # YLL is a view of Y: factored as a copy
+        assert lu.tobytes() == want_lu.tobytes()
+        assert np.array_equal(piv, want_piv)
+        n1 = len(Y) - 1
+        rng = np.random.default_rng(n1)
+        rhs = rng.standard_normal(n1) + 1j * rng.standard_normal(n1)
+        rhs_before = rhs.tobytes()
+        got = G._lu_solve((lu, piv), rhs)
+        want = scipy.linalg.lu_solve((want_lu, want_piv), np.column_stack([rhs, rhs]))[:, 0]
+        assert got.tobytes() == want.tobytes()
+        assert rhs.tobytes() == rhs_before
+        eye = np.eye(n1, dtype=complex)
+        got = G._getrs((lu, piv), eye)
+        assert got.tobytes() == scipy.linalg.lu_solve((want_lu, want_piv), eye).tobytes()
+        assert np.array_equal(eye, np.eye(n1))
+
+    def test_non_finite_block_raises_value_error(self, net5):
+        Y = G.build_admittance(net5)
+        Y[2, 2] = np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            G._yll_factor(Y)
+
+    def test_singular_load_block_raises(self):
+        net = singular_load_block_network()
+        assert G.build_admittance(net)[1, 1] == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (
+                lambda: G.solve_noload(net),
+                lambda: G.ac_power_flow(net, {}),
+                lambda: G.linearize(net, ["b"]),
+            ):
+                with pytest.raises(ModelError, match="load-bus admittance block is singular"):
+                    call()
 
 
 class TestPowerFlow:

@@ -94,6 +94,12 @@ class RunConfig:
                 raise ValidationError(f"{name} must be a path, got {value!r}")
         if not isinstance(self.monitored_buses, (list, type(None))):
             raise ValidationError(f"monitored_buses must be a list or null, got {self.monitored_buses!r}")
+        for name in ("pcc_buses", "loads", "cardinality"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ValidationError(f"{name} must be a list, got {value!r}")
+        self.pcc_buses = [str(b) for b in self.pcc_buses]
+        self.loads = list(self.loads)
         for name, key in _NUMBER_KEYS.items():
             setattr(self, name, real_number(key, getattr(self, name)))
         self.cardinality = list(self.cardinality)
@@ -122,16 +128,18 @@ def load_config(source):
     """
     doc = _read_json(source, _FIXTURE_CONFIGS, "config file") if isinstance(source, str) else dict(source)
     try:
-        conv = doc["converter"]
+        conv = doc["converter"]  # required, unlike the other sections
+        if not isinstance(conv, dict):
+            raise ValidationError(f"converter must be a JSON object, got {conv!r}")
         voltage = _section(doc, "voltage")
         synth = _section(doc, "synthetic")
         return RunConfig(
             network=doc["network"],
-            pcc_buses=[str(b) for b in conv["pcc_buses"]],
+            pcc_buses=conv["pcc_buses"],
             s_total_kva=conv["s_total_kva"],
             loss_coeff=conv.get("loss_coeff", RunConfig.loss_coeff),
             dc_der=conv.get("dc_der"),
-            loads=list(doc.get("loads", [])),
+            loads=doc.get("loads", []),
             v_min=voltage.get("v_min_pu", RunConfig.v_min),
             v_max=voltage.get("v_max_pu", RunConfig.v_max),
             monitored_buses=voltage.get("monitored_buses"),
@@ -211,13 +219,14 @@ def _build_setup(cfg):
             raise ValidationError(f"cardinality entry {entry!r} not in [0, {m}] or 'unconstrained'")
         if entry in cfg.cardinality[:i]:
             raise ValidationError(f"cardinality level {entry!r} is listed more than once")
-    lg = _grid.linearize(net, cfg.pcc_buses)
+    # the converter checks its terminals before linearize relies on them
     conv = ConverterSpec(
         pcc_buses=tuple(cfg.pcc_buses),
         s_total=cfg.s_total_kva / net.s_base_kva,
         k=cfg.loss_coeff,
         has_dc_der=cfg.dc_der is not None,
     )
+    lg = _grid.linearize(net, cfg.pcc_buses)
 
     def horizon(n):
         return _mission.HorizonInput(

@@ -194,16 +194,16 @@ def _timestep_programs(grid, conv, horizon, steps):
     """(t, program) for each timestep t of ``steps``, one at a time.
 
     The first is compiled in full by ``build_timestep_program``; the others
-    are re-valued from it by a ``ProgramTemplate``, except a timestep whose
-    nonzero pattern differs from the first's, which is compiled in full.
+    are re-valued from it by a ``ProgramTemplate``.
     """
     template = None
     for t in steps:
         ts = _timestep_input(grid, horizon, t, _der_output(grid, conv, horizon, t))
-        program = template and template.program(ts)
-        if program is None:
+        if template is None:
             program = build_timestep_program(grid, conv, ts)
-            template = template or ProgramTemplate(grid, program)
+            template = ProgramTemplate(grid, program)
+        else:
+            program = template.program(ts)
         yield t, program
 
 

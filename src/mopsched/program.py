@@ -23,8 +23,8 @@ once on first use and shared by every solve of the program.
 The timesteps of a cardinality level differ only in data: the voltage rows'
 and the DER pin's right-hand sides, and the loss gradient lam and constant
 sigma in the loss epigraph.  A ``ProgramTemplate`` compiles one timestep in
-full and gives each other timestep a ``TimestepProgram``: the template's form
-with those entries rewritten, and the records that the solver, the
+full and gives every other timestep a ``TimestepProgram``: the template's
+form with those entries rewritten, and the records that the solver, the
 branch-and-bound search and the mission read.  No IR rows are built for it.
 """
 
@@ -206,11 +206,9 @@ class StandardForm:
 
     The coefficients live only in ``M``, the stacked rows [A; G], and the
     right-hand sides in ``rhs``, [b; h]; A, G, b and h are views of them.
-    For presolve, ``by_row`` and ``by_col`` give the nonzero pattern of M,
-    head rows included, as (ptr, index) lists: row r's columns are
-    ``index[ptr[r]:ptr[r + 1]]`` of ``by_row``, in column order, and
-    ``by_col`` lists each column's rows the same way.  ``n_ineq`` counts the
-    IR's inequalities, the leading rows of G.  The arrays are read-only.
+    An entry a row lacks is +0.0 in M, so the nonzeros of M are the
+    program's pattern, head rows included.  ``n_ineq`` counts the IR's
+    inequalities, the leading rows of G.  The arrays are read-only.
     """
 
     def __init__(self, ir):
@@ -238,8 +236,6 @@ class StandardForm:
             self.c[columns[v]] = cf
         self.c0 = float(ir.objective.const)
         _check_finite(M, rhs, self.c)
-        nonzero = M != 0
-        self.by_row, self.by_col = _pattern(nonzero), _pattern(nonzero.T)
         self.c.flags.writeable = False
         self._set_values(M, rhs, len(ir.equalities))
         self.dims = (l, tuple(sizes))
@@ -253,21 +249,18 @@ class StandardForm:
         self.M, self.rhs = M, rhs
         self.A, self.b, self.G, self.h = M[:p], rhs[:p], M[p:], rhs[p:]
 
-    def revalued(self, entries, rhs_entries):
-        """This form with other values at entries of its nonzero pattern.
+    def revalued(self, at, values, rhs_at, rhs_values):
+        """This form with ``values`` at the entries ``at`` of M, a (stacked
+        rows, columns) pair of index arrays, and ``rhs_values`` at the
+        stacked rows ``rhs_at`` of rhs.
 
-        ``entries`` is a list of (stacked row, column, value) and
-        ``rhs_entries`` a list of (stacked row, value).  The copy has its own
-        M and rhs and shares everything else, ``by_row`` and ``by_col``
-        included.
+        The copy has its own M and rhs and shares everything else.
         """
         form = object.__new__(StandardForm)
         form.__dict__.update(self.__dict__)
         M, rhs = self.M.copy(), self.rhs.copy()
-        for r, j, value in entries:
-            M[r, j] = value
-        for r, value in rhs_entries:
-            rhs[r] = value
+        M[at] = values
+        rhs[rhs_at] = rhs_values
         _check_finite(M, rhs)
         form._set_values(M, rhs, len(self.b))
         return form
@@ -276,13 +269,6 @@ class StandardForm:
 def _check_finite(*arrays):
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValidationError("program has a non-finite coefficient or right-hand side")
-
-
-def _pattern(mask):
-    """(ptr, index) lists of the entries where mask holds, row by row."""
-    rows, index = np.nonzero(mask)
-    ptr = np.searchsorted(rows, np.arange(len(mask) + 1))
-    return ptr.tolist(), index.tolist()
 
 
 def _folded(grid, ts):
@@ -299,9 +285,12 @@ class _Entries(NamedTuple):
     sigma: float  # the loss constant
     voltage: list  # v_upper and v_lower right-hand sides of each monitored bus, in row order
     der_pin: float  # the DER pin's right-hand side
-    nonzero: list  # the x variables j with lam_j != 0, which the loss rows hold
-    head: tuple  # the loss-epigraph head row's coefficients on them and its right-hand side
-    tail: tuple  # the loss cone's first tail expression's coefficients on them and its constant
+    # 0.5 lam_j per x variable, +0.0 where lam_j is 0 (as a row without the
+    # entry holds): the loss-epigraph head row's coefficients and minus the
+    # loss cone's first tail expression's, so the M entries of both rows
+    half_lam: list
+    head_rhs: float  # the head row's right-hand side
+    tail_const: float  # the tail expression's constant
 
 
 def _entries(grid, ts, bus_rows):
@@ -317,15 +306,14 @@ def _entries(grid, ts, bus_rows):
     voltage = []
     for r in bus_rows:
         voltage += [float(ts.v_max - grid.b[r]), float(grid.b[r] - ts.v_min)]
-    nonzero = [j for j, v in enumerate(lam) if v != 0.0]
     return _Entries(
         lam=lam,
         sigma=sigma,
         voltage=voltage,
         der_pin=float(ts.p_der),
-        nonzero=nonzero,
-        head=([0.5 * lam[j] for j in nonzero], 0.5 * (1.0 - sigma)),
-        tail=([-0.5 * lam[j] for j in nonzero], -0.5 * sigma - 0.5),
+        half_lam=[0.5 * v if v else 0.0 for v in lam],
+        head_rhs=0.5 * (1.0 - sigma),
+        tail_const=-0.5 * sigma - 0.5,
     )
 
 
@@ -377,7 +365,8 @@ def build_timestep_program(grid, conv, ts):
     z = [f"z[{i + 1}]" for i in range(m)] if n_card != UNCONSTRAINED else []
     variables = tuple(p_c + q_c + s_c + p_dc + p_lc + [p_ln, u_ln] + z)
     x_vars = p_c + q_c
-    lam_vars = [x_vars[j] for j in data.nonzero]
+    # the loss rows' coefficients on the x variables with lam_j != 0
+    half_lam = {x_vars[j]: cf for j, cf in enumerate(data.half_lam) if data.lam[j] != 0.0}
 
     equalities = []
     # dc-link power balance over all dc-side entries.
@@ -395,10 +384,9 @@ def build_timestep_program(grid, conv, ts):
             Row({p_lc[i]: 1.0, s_c[i]: -conv.k}, 0.0, tag=f"conv_loss[{i + 1}]")
         )
     # loss-cone head: U = (t + 1)/2 with t = P_loss_ntwk - lam.x - sigma.
-    head_coeffs, head_rhs = data.head
-    head_row = {u_ln: 1.0, p_ln: -0.5, **dict(zip(lam_vars, head_coeffs))}
+    head_row = {u_ln: 1.0, p_ln: -0.5, **half_lam}
     loss_head = len(equalities)
-    equalities.append(Row(head_row, head_rhs, tag="loss_epigraph_head"))
+    equalities.append(Row(head_row, data.head_rhs, tag="loss_epigraph_head"))
 
     inequalities = []
     upper, lower = data.voltage[0::2], data.voltage[1::2]
@@ -423,8 +411,7 @@ def build_timestep_program(grid, conv, ts):
         for i in range(m)
     ]
     # ||((t-1)/2, F x)|| <= (t+1)/2 = U  <=>  ||F x||^2 <= t.
-    tail_coeffs, tail_const = data.tail
-    tail = [AffExpr({p_ln: 0.5, **dict(zip(lam_vars, tail_coeffs))}, tail_const)]
+    tail = [AffExpr({p_ln: 0.5, **{v: -cf for v, cf in half_lam.items()}}, data.tail_const)]
     for r in range(F.shape[0]):
         tail.append(
             AffExpr({v: float(F[r, j]) for j, v in enumerate(x_vars) if F[r, j] != 0.0})
@@ -478,14 +465,13 @@ class ProgramTemplate:
     """A level's program, compiled once and re-valued for its other timesteps.
 
     ``ir`` is the program ``build_timestep_program`` made on ``grid`` for one
-    timestep of the level.  ``program(ts)`` gives the TimestepProgram of
-    another timestep of the level (same converter, cardinality limit and
+    timestep of the level.  ``program(ts)`` gives the TimestepProgram of any
+    other timestep of the level (same converter, cardinality limit and
     monitored buses): ``ir``'s standard form with the entries ``_entries``
     sets rewritten in its matrix and right-hand side, sharing the form's
-    columns, cone layout, c and nonzero pattern.  It returns None when the
-    timestep's nonzero pattern differs from ``ir``'s, which happens where a
-    loss-gradient entry is exactly 0 in one and not the other; compile such a
-    timestep in full.
+    columns, cone layout and c.  It writes the loss rows' entry on every x
+    variable, +0.0 where lam_j is 0 as a full compile leaves it, so a
+    timestep whose zero entries differ from ``ir``'s gets its own bits too.
     """
 
     def __init__(self, grid, ir):
@@ -494,31 +480,25 @@ class ProgramTemplate:
         p = len(sf.b)
         self.bus_rows = rows["voltage"]
         self.has_der = rows["der_pin"] is not None
-        self.nonzero = [j for j, v in enumerate(lm["lam"]) if v != 0.0]
         head, tail = rows["loss_head"], p + sf.starts[rows["loss_cone"]] + 1
         # the stacked rows whose right-hand sides a timestep sets, in _Entries order
-        self.rhs_rows = [p + i for i in range(2 * len(self.bus_rows))]
-        self.rhs_rows += [rows["der_pin"]] * self.has_der + [head, tail]
-        # (row, column) of the head's, then the tail's, lam entries
-        cols = [sf.columns[lm["x_vars"][j]] for j in self.nonzero]
-        self.lam_entries = [(r, j) for r in (head, tail) for j in cols]
+        self.rhs_at = np.array(
+            [p + i for i in range(2 * len(self.bus_rows))]
+            + [rows["der_pin"]] * self.has_der
+            + [head, tail]
+        )
+        # the head's, then the tail's, entry on each x variable
+        cols = [sf.columns[v] for v in lm["x_vars"]]
+        self.lam_at = (np.repeat([head, tail], len(cols)), np.array(cols * 2))
 
     def program(self, ts):
-        """Timestep ``ts``'s TimestepProgram, or None when its nonzero pattern differs."""
+        """Timestep ``ts``'s TimestepProgram."""
         if ts.p_der != 0.0 and not self.has_der:
             raise ValidationError("p_der given but converter has no dc-link DER")
         data = _entries(_folded(self.grid, ts), ts, self.bus_rows)
-        if data.nonzero != self.nonzero:
-            return None
-        (head, head_rhs), (tail, tail_const) = data.head, data.tail
-        rhs = data.voltage + [data.der_pin] * self.has_der + [head_rhs, tail_const]
-        # a tail expression's G row holds minus its coefficients
-        values = head + [-cf for cf in tail]
+        rhs = data.voltage + [data.der_pin] * self.has_der + [data.head_rhs, data.tail_const]
         ir = self.ir
-        form = ir.standard_form.revalued(
-            [(r, j, v) for (r, j), v in zip(self.lam_entries, values)],
-            list(zip(self.rhs_rows, rhs)),
-        )
+        form = ir.standard_form.revalued(self.lam_at, data.half_lam * 2, self.rhs_at, rhs)
         lm = ir.loss_model
         return TimestepProgram(
             standard_form=form,

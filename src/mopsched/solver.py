@@ -57,7 +57,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -706,29 +706,40 @@ _FEAS_TOL = 1e-9
 _FIX_CONFLICT_TOL = 1e-7
 
 
+@cache
+def _count_and_index(n):
+    """(n, 2) weights: a 0/1 row of n columns times them is its count of ones
+    and the sum of their indices, which is the index of a lone one."""
+    weights = np.ones((n, 2))
+    weights[:, 1] = np.arange(n)
+    weights.flags.writeable = False
+    return weights
+
+
 class _Presolved:
     """One request: its program after fixings and presolve, rows and columns
     of ``ir.standard_form``, with its settings ``st``.
 
-    Presolve works on the stacked rows [A; G] of the form, reading each
-    coefficient from ``sf.M`` where the form's nonzero pattern has one: a
-    fixed variable is substituted into the right-hand side ``rhs`` of each
-    row where it has a nonzero, a row's in column order (a fixed cone head's
-    value so lands in its head row), and ``count`` holds each row's nonzeros
-    on the columns not yet substituted.  A fixed binary's two bound rows are
-    dropped; an unfixed one keeps them, relaxed to [0, 1].  Each round
-    substitutes the variables fixed since the last one, then applies the
-    singleton and empty row rules (Andersen & Andersen, Math. Prog. 71,
-    1995) to the rows with at most one nonzero left (``low``): an equality
+    Presolve works on the stacked rows [A; G] of the form.  ``open`` is 1.0
+    where ``sf.M`` has a nonzero on a column not yet substituted, a mask it
+    builds from the form and drops when done.  A fixed variable is
+    substituted into the right-hand side ``rhs`` of each row where it has a
+    nonzero, the pending columns in column order, so that a row takes its
+    terms in column order (a fixed cone head's value so lands in its head
+    row).  A fixed binary's two bound rows are dropped; an unfixed one keeps
+    them, relaxed to [0, 1].  Each round substitutes the variables fixed
+    since the last one, then applies the singleton and empty row rules
+    (Andersen & Andersen, Math. Prog. 71, 1995) to the live equality and
+    linear rows with at most one nonzero left, in row order: an equality
     with one nonzero fixes its variable, an empty row is checked and
     dropped, and an inequality that forces a cone head to zero fixes the
     head and each tail expression's one variable and drops the cone.  Model
     programs reach them through fixed binaries, whose off legs' big-M rows
     zero their cones, and through a dc-link DER's pin; a zeroed tail with
     two or more free variables, which only hand-built programs have, raises
-    ValidationError.  ``free``, ``eq`` and ``g_rows`` then select the
-    program's columns, the form's equality rows and its G rows, which
-    ``assemble`` slices into the ``arrays`` a batch stacks.
+    ValidationError.  ``free`` then selects the program's columns, and the
+    ``live`` mask of the stacked rows its equality rows ``eq`` and G rows
+    ``g_rows``, which ``assemble`` slices into the ``arrays`` a batch stacks.
     """
 
     def __init__(self, ir, fixings, st=None):
@@ -736,16 +747,12 @@ class _Presolved:
         self.st = st
         self.names = ir.variables
         self.n_ineq = sf.n_ineq
-        p, l = len(sf.b), sf.dims[0]
+        p = len(sf.b)
         self.rhs = sf.rhs.tolist()
-        ptr = sf.by_row[0]
-        self.count = [b - a for a, b in zip(ptr, ptr[1:])]
-        # the equality and linear rows not dropped; a cone's rows go with it
-        self.live = [True] * (p + l) + [False] * (len(sf.h) - l)
+        self.live = np.ones(len(self.rhs), bool)  # the stacked rows not dropped
         self.cones = list(range(len(sf.heads)))
         self.fixed = {}  # column -> value, in fixing order
         self.pending = []  # columns fixed but not yet substituted
-        self.done = set()  # columns substituted
         self.c0 = sf.c0
         self.removed_eq_events = []  # (form row, column) in elimination order
         self.cone_zero_vars = set()
@@ -762,22 +769,18 @@ class _Presolved:
         bounds = p + self.n_ineq
         for k, z in enumerate(ir.binaries):
             if z in fixings:
-                self.live[bounds + 2 * k] = self.live[bounds + 2 * k + 1] = False
-        # rows presolve looks at: live ones with at most one coefficient
-        self.low = {r for r in range(p + l) if self.live[r] and self.count[r] <= 1}
+                self.live[bounds + 2 * k : bounds + 2 * k + 2] = False
+        self.open = (sf.M != 0).astype(float)
         self._run()
+        del self.open
 
         self.free = np.array([j for j in range(len(sf.c)) if j not in self.fixed], int)
-        self.eq = np.array([r for r in range(p) if self.live[r]], int)
-        rows = [r - p for r in range(p, p + l) if self.live[r]]
+        self.eq, self.g_rows = self.live[:p].nonzero()[0], self.live[p:].nonzero()[0]
         sizes = [sf.dims[1][k] for k in self.cones]
-        self.dims = (len(rows), sizes)
-        for k, q in zip(self.cones, sizes):
-            rows += range(sf.starts[k], sf.starts[k] + q)
-        self.g_rows = np.array(rows, int)
+        self.dims = (len(self.g_rows) - sum(sizes), sizes)
         self.arrays = self.assemble()  # c, A, b, G, h
         # requests with equal keys can share a batch
-        self.key = len(self.free), len(self.arrays[2]), self.dims[0], tuple(sizes), st
+        self.key = len(self.free), len(self.eq), self.dims[0], tuple(sizes), st
 
     def _fix(self, j, val):
         if j in self.fixed:
@@ -791,54 +794,50 @@ class _Presolved:
 
     def _substitute(self):
         """Substitute the variables fixed since the last call."""
-        ptr, rows = self.sf.by_col
-        M, rhs, count, live = self.sf.M, self.rhs, self.count, self.live
+        M, rhs, c = self.sf.M, self.rhs, self.sf.c
         # in column order, so that each row takes its terms in column order
         for j in sorted(self.pending):
             val = self.fixed[j]
-            for r in rows[ptr[j] : ptr[j + 1]]:
+            for r in self.open[:, j].nonzero()[0].tolist():
                 rhs[r] -= M.item(r, j) * val
-                count[r] -= 1
-                if count[r] <= 1 and live[r]:
-                    self.low.add(r)
-            if self.sf.c[j]:
-                self.c0 += float(self.sf.c[j]) * val
-            self.done.add(j)
+            self.open[:, j] = 0.0
+            if c[j]:
+                self.c0 += float(c[j]) * val
         self.pending = []
 
-    def _entries(self, r):
-        """(column, coefficient) of row r on the columns not yet substituted."""
-        ptr, cols = self.sf.by_row
-        M = self.sf.M
-        return [(j, M.item(r, j)) for j in cols[ptr[r] : ptr[r + 1]] if j not in self.done]
-
     def _run(self):
-        p = len(self.sf.b)
+        sf = self.sf
+        p, l = len(sf.b), sf.dims[0]
+        weights = _count_and_index(len(sf.c))
+        # the equality and linear rows, which the rules read
+        open_, live = self.open[: p + l], self.live[: p + l]
         while True:
             self._substitute()
-            heads = {self.sf.heads[k]: k for k in self.cones}
-            self.low = {r for r in self.low if self.live[r]}
-            for r in sorted(self.low):  # the equalities first
-                rhs = self.rhs[r]
-                if self.count[r] == 0:
+            heads = {sf.heads[k]: k for k in self.cones}
+            # each row's count of nonzeros left and the column of a lone one;
+            # the live rows with at most one, in row order: the equalities first
+            counted = open_ @ weights
+            low = ((counted[:, 0] <= 1) & live).nonzero()[0]
+            for r, (n, j) in zip(low.tolist(), counted[low].tolist()):
+                j, rhs = int(j), self.rhs[r]
+                coef = sf.M.item(r, j)  # an empty row's is unread
+                if n == 0:
                     if r < p and abs(rhs) > _FEAS_TOL:
                         raise _Infeasible(f"equality row {r} reduces to 0 = {rhs:.3e}")
                     if r >= p and rhs < -_FEAS_TOL:
                         idx = r - p if r - p < self.n_ineq else -1
                         raise _Infeasible(f"inequality row {idx} reduces to 0 <= {rhs:.3e}")
-                    self.live[r] = False
-                    continue
-                ((j, coef),) = self._entries(r)
-                if r < p:
+                elif r < p:
                     if abs(coef) >= 1e-12:
                         self._fix(j, rhs / coef)
                         self.removed_eq_events.append((r, j))
                     elif abs(rhs) > _FEAS_TOL:
                         raise _Infeasible(f"degenerate equality row {r}")
-                    self.live[r] = False
                 elif coef > 0 and rhs / coef <= 1e-12 and j in heads:
                     self._collapse_cone(heads.pop(j), j)
-                    self.live[r] = False
+                else:
+                    continue  # an inequality on one variable stays
+                live[r] = False
             if not self.pending:
                 return
 
@@ -850,9 +849,12 @@ class _Presolved:
         self._fix(head, 0.0)
         self.cone_zero_vars.add(head)
         start = len(self.sf.b) + self.sf.starts[k]
-        for t in range(start + 1, start + self.sf.dims[1][k]):
-            # the tail expression's coefficients are minus its G row's
-            coeffs = [(j, -v) for j, v in self._entries(t)]
+        stop = start + self.sf.dims[1][k]
+        self.live[start:stop] = False
+        for t in range(start + 1, stop):
+            # the tail expression's coefficients on the columns not yet
+            # substituted are minus its G row's
+            coeffs = [(j, -self.sf.M.item(t, j)) for j in self.open[t].nonzero()[0].tolist()]
             live = [(j, cf) for j, cf in coeffs if j not in self.fixed]
             shift = self.rhs[t] + sum(cf * self.fixed[j] for j, cf in coeffs if j in self.fixed)
             if len(live) > 1:
@@ -868,7 +870,7 @@ class _Presolved:
         """The presolved program's (c, A, b, G, h): rows and columns of the form."""
         sf, free, eq, g_rows = self.sf, self.free, self.eq, self.g_rows
         rhs = np.array(self.rhs)
-        A, G = sf.A[eq[:, None], free], sf.G[g_rows[:, None], free]
+        A, G = sf.A.take(eq, 0).take(free, 1), sf.G.take(g_rows, 0).take(free, 1)
         return sf.c[free], A, rhs[eq], G, rhs[len(sf.b) + g_rows]
 
 

@@ -127,7 +127,7 @@ BAD_SETTINGS = {
 }
 
 
-# case -> (edit of the config document, config key the error must name)
+# case -> (edit of the config document, text naming the config key that the error must contain)
 MALFORMED_SHAPES = {
     "voltage_list": (lambda cfg: cfg.update(voltage=[]), "voltage"),
     "synthetic_number": (lambda cfg: cfg.update(synthetic=5), "synthetic"),
@@ -137,6 +137,20 @@ MALFORMED_SHAPES = {
     "monitored_buses_number": (
         lambda cfg: cfg["voltage"].update(monitored_buses=7),
         "monitored_buses",
+    ),
+    "converter_string": (
+        lambda cfg: cfg.update(converter="bus_3"),
+        "converter must be a JSON object, got 'bus_3'",
+    ),
+    # a string where a list belongs is not split into its characters
+    "pcc_buses_string": (
+        lambda cfg: cfg["converter"].update(pcc_buses="bus_3"),
+        "pcc_buses must be a list, got 'bus_3'",
+    ),
+    "loads_string": (lambda cfg: cfg.update(loads="abc"), "loads must be a list, got 'abc'"),
+    "cardinality_string": (
+        lambda cfg: cfg.update(cardinality="unconstrained"),
+        "cardinality must be a list, got 'unconstrained'",
     ),
 }
 
@@ -464,6 +478,21 @@ class TestRun:
         assert "load-bus admittance block is singular" in result.output
         assert "Traceback" not in result.output
         assert not Path(cfg["output_dir"]).exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify", "linearize"])
+    @pytest.mark.parametrize("config", ["5bus", "ieee33"])
+    def test_no_pcc_bus_exits_2(self, tmp_path, monkeypatch, config, command):
+        doc = json.loads((Path(cli.__file__).parent / "fixtures" / f"config_{config}.json").read_text())
+        doc.update(network=config, cardinality=["unconstrained"], output_dir=str(tmp_path / "out"))
+        doc["converter"]["pcc_buses"] = []
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        result = CliRunner().invoke(cli.main, [command, "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error: converter needs at least 2 terminals" in result.output
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_summary_reports_every_status(self, small_config, monkeypatch):
         path, cfg = small_config

@@ -11,6 +11,7 @@ from hypothesis import given, settings as hsettings, strategies as st
 
 from mopsched import grid as G
 from mopsched import mip
+from mopsched import solver as S
 from mopsched.errors import ValidationError
 from mopsched.program import (
     UNCONSTRAINED,
@@ -28,7 +29,7 @@ from mopsched.program import (
     serialize_ir,
 )
 
-from conftest import BG5, PCC5, instance5, instance33
+from conftest import BG5, PCC5, assert_same_solution, instance5, instance33
 
 
 def counts(ir):
@@ -373,6 +374,10 @@ class TestStandardForm:
         rng = np.random.default_rng(11)
         for ir in programs:
             sf = ir.standard_form
+            # the values live only in the stacked matrix M and right-hand side
+            assert np.array_equal(sf.M, np.vstack([sf.A, sf.G]))
+            assert np.array_equal(sf.rhs, np.concatenate([sf.b, sf.h]))
+            assert sf.A.base is sf.M and sf.G.base is sf.M
             x = rng.standard_normal(len(ir.variables))
             eq, s, obj = dict_slacks(ir, dict(zip(ir.variables, x)))
             assert np.allclose(sf.A @ x - sf.b, eq, rtol=1e-13, atol=1e-13)
@@ -388,19 +393,6 @@ class TestStandardForm:
             for cone, start, head in zip(ir.soc_cones, sf.starts, sf.heads):
                 assert ir.variables[head] == cone.head
                 assert sf.G[start, head] == -1.0 and sf.h[start] == 0.0
-
-    def test_sparse_view_lists_the_nonzeros(self, programs):
-        """by_row and by_col hold the pattern of [A; G]'s nonzeros, head rows
-        included, each once; the values live only in the stacked matrix M."""
-        for ir in programs:
-            sf = ir.standard_form
-            assert np.array_equal(sf.M, np.vstack([sf.A, sf.G]))
-            assert np.array_equal(sf.rhs, np.concatenate([sf.b, sf.h]))
-            assert sf.A.base is sf.M and sf.G.base is sf.M
-            for (ptr, index), matrix in ((sf.by_row, sf.M), (sf.by_col, sf.M.T)):
-                assert ptr[-1] == np.count_nonzero(sf.M)
-                for r, row in enumerate(matrix):
-                    assert index[ptr[r] : ptr[r + 1]] == np.flatnonzero(row).tolist()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -445,10 +437,9 @@ class TestStandardForm:
 
 
 def form_bytes(program):
-    """The standard form's arrays and sparse views, to the last bit."""
+    """The standard form's c, M and rhs, to the last bit."""
     sf = program.standard_form
-    arrays = [(a.shape, a.tobytes()) for a in (sf.c, sf.A, sf.b, sf.G, sf.h)]
-    return arrays, sf.by_row, sf.by_col
+    return [(a.shape, a.tobytes()) for a in (sf.c, sf.M, sf.rhs)]
 
 
 def records(program):
@@ -503,20 +494,26 @@ class TestProgramTemplate:
                 sf = program.standard_form
                 assert isinstance(program, TimestepProgram)
                 assert sf.c is first.c and sf.columns is first.columns
-                assert sf.by_row is first.by_row and sf.by_col is first.by_col
                 assert sf.M is not first.M and sf.A.base is sf.M
 
-    def test_a_changed_nonzero_pattern_compiles_in_full(self, grid5, conv5, monkeypatch):
-        """A loss-gradient entry that is exactly 0 at t=1 only (its loads are
-        off, and the grid's own gradient is 0 there) leaves that timestep out
-        of the template's pattern."""
+    @pytest.mark.parametrize(
+        "load, zero_lam",
+        [((1.0, 0.0, 0.7), [False, True, False]), ((0.0, 1.0, 0.7), [True, False, False])],
+        ids=["zero_later", "zero_first"],
+    )
+    def test_a_changed_zero_loss_entry_is_re_valued(self, grid5, conv5, load, zero_lam, monkeypatch):
+        """A loss-gradient entry that is exactly 0 where its loads are off (the
+        grid's own gradient is 0 there) and nonzero elsewhere: each later
+        timestep is re-valued from the first, whichever of them is 0, with a
+        full compile's bits, and solves as its full compile does when presolve
+        substitutes that entry's variable through the loss rows."""
         from mopsched import mission
 
         lam = grid5.full_lam.copy()
         lam[grid5._pcc_cols()[0]] = 0.0
         grid = replace(grid5, full_lam=lam)
         hz = mission.HorizonInput(
-            profiles={"load": np.array([1.0, 0.0, 0.7])},
+            profiles={"load": np.array(load)},
             loads=[mission.LoadSpec("bus_2", "load", 180.0, 90.0)],
             timestep_hours=0.5,
             v_min=0.9,
@@ -527,14 +524,17 @@ class TestProgramTemplate:
         build = mission.build_timestep_program
         monkeypatch.setattr(mission, "build_timestep_program", lambda *a: full.append(a[2]) or build(*a))
         programs = list(mission._timestep_programs(grid, conv5, hz, range(3)))
-        assert [ts.background_injections["bus_2"] for ts in full] == [-(0.18 + 0.09j), -0j]
+        assert len(full) == 1 and full[0].background_injections["bus_2"] == -(0.18 + 0.09j) * load[0]
         assert [type(program) for _, program in programs] == [
-            ConicProgramIR, ConicProgramIR, TimestepProgram
+            ConicProgramIR, TimestepProgram, TimestepProgram
         ]
-        assert programs[1][1].loss_model["lam"][0] == 0.0
+        assert [program.loss_model["lam"][0] == 0.0 for _, program in programs] == zero_lam
         for t, program in programs:
-            assert form_bytes(program) == form_bytes(mission._timestep_program(grid, conv5, hz, t))
-        template = ProgramTemplate(grid, programs[1][1])
-        assert template.program(full[0]) is None
+            ir = mission._timestep_program(grid, conv5, hz, t)
+            assert form_bytes(program) == form_bytes(ir), t
+            # leg 1 off zeroes its cone, so presolve fixes P_c[1], the x
+            # variable whose loss entry changes, and substitutes it
+            fixings = {"z[1]": 0.0}
+            assert_same_solution(S.solve_socp(program, fixings), S.solve_socp(ir, fixings))
         with pytest.raises(ValidationError, match="no dc-link DER"):
-            template.program(replace(full[0], p_der=0.1))
+            ProgramTemplate(grid, programs[0][1]).program(replace(full[0], p_der=0.1))

@@ -177,13 +177,6 @@ def _entry_fields(entry, what, keys):
     return [entry[key] for key in keys]
 
 
-def _peak(value, what):
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} is not a number: {value!r}") from None
-
-
 def _build_setup(cfg):
     """(network, grid, converter, horizon factory) from a validated config."""
     net = _load_network(cfg)
@@ -196,14 +189,14 @@ def _build_setup(cfg):
             _mission.LoadSpec(
                 bus=bus,
                 profile=profile,
-                peak_kw=_peak(peak_kw, f"{what} peak_kw"),
-                peak_kvar=_peak(entry.get("peak_kvar", 0.0), f"{what} peak_kvar"),
+                peak_kw=real_number(f"{what} peak_kw", peak_kw),
+                peak_kvar=real_number(f"{what} peak_kvar", entry.get("peak_kvar", 0.0)),
             )
         )
     der = None
     if cfg.dc_der is not None:
         profile, peak_kw = _entry_fields(cfg.dc_der, "converter dc_der", ("profile", "peak_kw"))
-        der = _mission.DerSpec(profile=profile, peak_kw=_peak(peak_kw, "converter dc_der peak_kw"))
+        der = _mission.DerSpec(profile=profile, peak_kw=real_number("converter dc_der peak_kw", peak_kw))
     for load in loads:
         if load.bus not in net.load_order:
             raise ValidationError(
@@ -346,25 +339,18 @@ def run(cfg, dump_ir=False, solver_trace=None, mip_trace=None):
         if mip_trace:
             _mip.solve_misocp(ir0, bnb, settings, trace=mip_trace)
 
-    results = []
-    for entry in cfg.cardinality:
-        profile = _mission.schedule_horizon(lg, conv, horizon(entry), bnb, settings)
-        results.append((entry, profile))
-
-    unconstrained = next(
-        (p for e, p in results if e == UNCONSTRAINED), None
-    )
-    baseline = results[0][1].baseline_ntwk_loss_kw
-    summary = _mission.summarize([p for _, p in results], baseline)
+    profiles = [
+        _mission.schedule_horizon(lg, conv, horizon(entry), bnb, settings)
+        for entry in cfg.cardinality
+    ]
+    unconstrained = next((p for p in profiles if p.cardinality == UNCONSTRAINED), None)
+    summary = _mission.summarize(profiles)
     artifacts = []
-    for entry, profile in results:
+    for entry, profile, run_summary in zip(cfg.cardinality, profiles, summary["runs"]):
         label = _label(entry)
         csv_path = outdir / f"mission_{label}.csv"
         _mission.write_mission_csv(profile, csv_path)
         artifacts.append(csv_path)
-        run_summary = next(
-            r for r in summary["runs"] if r["cardinality"] == profile.cardinality
-        )
         _dump_json(
             outdir / f"summary_{label}.json",
             {

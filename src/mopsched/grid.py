@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import lapack
-from .errors import ModelError, PowerFlowDivergence, ValidationError
+from .errors import ModelError, PowerFlowDivergence, ValidationError, real_number
 
 PF_TOL = 1e-10
 PF_MAX_ITER = 100
@@ -143,15 +143,15 @@ class BusNetwork:
 def network_from_json(doc):
     """Build a BusNetwork from a parsed document of the network JSON schema."""
     try:
-        slack_re, slack_im = doc["slack_voltage_pu"]
+        slack_re, slack_im = (real_number("network slack_voltage_pu", v) for v in doc["slack_voltage_pu"])
         buses = tuple(Bus(id=str(b["id"]), kind=str(b["kind"])) for b in doc["buses"])
         branches = tuple(
             Branch(
                 from_bus=str(br["from"]),
                 to_bus=str(br["to"]),
-                r_pu=float(br["r_pu"]),
-                x_pu=float(br["x_pu"]),
-                b_shunt_pu=float(br.get("b_shunt_pu", 0.0)),
+                r_pu=real_number("network branch r_pu", br["r_pu"]),
+                x_pu=real_number("network branch x_pu", br["x_pu"]),
+                b_shunt_pu=real_number("network branch b_shunt_pu", br.get("b_shunt_pu", 0.0)),
             )
             for br in doc["branches"]
         )
@@ -159,7 +159,7 @@ def network_from_json(doc):
             buses=buses,
             branches=branches,
             slack_voltage=complex(slack_re, slack_im),
-            s_base_kva=float(doc["s_base_kva"]),
+            s_base_kva=real_number("network s_base_kva", doc["s_base_kva"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed network document: {exc!r}") from exc

@@ -13,8 +13,9 @@ The search is a generator, ``_branch_and_bound``, that yields every SOCP it
 needs solved as a ``solver.solve_socp`` argument tuple (ir, fixings,
 settings): node relaxations, their retries and the verification solve.  One
 driver, ``_drive``, runs any number of searches in lockstep waves through
-``solver.solve_socp_many``; ``solve_misocp`` hands it one search and
-``solve_misocp_many`` many.  The solver answers every request with a
+``solver.solve_socp_many``; ``solve_misocp`` hands it one search, and
+``solve_misocp_many`` draws any stream of programs in windows and hands it
+one window's searches at a time.  The solver answers every request with a
 ConicSolution, a failure as its status; a search that cannot go on raises
 MopschedError, which ends that search alone.  Batching gives each SOCP the
 bits of a lone solve, so a search takes the same path and returns the same
@@ -24,6 +25,7 @@ result either way.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -107,8 +109,8 @@ def solve_misocp(ir, cfg=None, settings=None, trace=None):
     return result
 
 
-def window_width(ir):
-    """Programs shaped like ``ir`` that a horizon solves in one window.
+def _window_width(ir):
+    """Programs shaped like ``ir`` that ``solve_misocp_many`` solves in one window.
 
     The root of a search solves ``ir``'s standard form with every binary
     relaxed by its bound rows; presolve only shrinks that program, so one
@@ -121,13 +123,19 @@ def window_width(ir):
     return _solver._batch_size(n, p, q) * (2 if ir.binaries else 1)
 
 
-def solve_misocp_many(irs, cfg=None, settings=None):
+def solve_misocp_many(programs, cfg=None, settings=None):
     """Solve each program as ``solve_misocp`` would, their SOCPs in lockstep waves.
 
-    Returns one entry per program, in order: its MipSolution, or the
-    MopschedError its solve raised.
+    Draws the programs one window at a time, ``_window_width`` of the
+    window's first, so only a window's programs and searches are held at
+    once.  Yields (program, its MipSolution or the MopschedError its solve
+    raised) for each program, in order.
     """
-    return _drive([_branch_and_bound(ir, cfg, settings) for ir in irs])
+    programs = iter(programs)
+    for first in programs:
+        window = [first, *itertools.islice(programs, _window_width(first) - 1)]
+        searches = [_branch_and_bound(program, cfg, settings) for program in window]
+        yield from zip(window, _drive(searches))
 
 
 def _drive(searches):

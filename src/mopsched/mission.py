@@ -6,6 +6,10 @@ cardinality series (non-zero transfers per timestep, tolerance-based) and
 its maximum over the horizon.  Infeasible timesteps are recorded and the run
 continues; an annual study must complete and report.
 
+Each share of a horizon is one stream: its timesteps' programs, re-valued
+from one compile of the level, go to ``mip.solve_misocp_many``, which draws
+and solves them a window at a time, and each result becomes one mission row.
+
 Power columns are stored in kW/kvar/kVA (per-unit values scaled by the
 network base) so that the tolerance "1e-5 of total converter capacity" reads
 naturally against capacity in kVA.
@@ -14,7 +18,6 @@ naturally against capacity in kVA.
 from __future__ import annotations
 
 import csv
-import itertools
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -191,82 +194,55 @@ def _timestep_program(grid, conv, horizon, t):
 
 
 def _timestep_programs(grid, conv, horizon, steps):
-    """(t, program) for each timestep t of ``steps``, one at a time.
+    """The program of each timestep of ``steps``, one at a time.
 
-    The first is compiled in full by ``build_timestep_program``; the others
-    are re-valued from it by a ``ProgramTemplate``.
+    ``build_timestep_program`` compiles the first timestep's program once,
+    and a ``ProgramTemplate`` of it re-values every timestep, the first
+    included.
     """
     template = None
     for t in steps:
         ts = _timestep_input(grid, horizon, t, _der_output(grid, conv, horizon, t))
         if template is None:
-            program = build_timestep_program(grid, conv, ts)
-            template = ProgramTemplate(grid, program)
-        else:
-            program = template.program(ts)
-        yield t, program
+            template = ProgramTemplate(grid, build_timestep_program(grid, conv, ts))
+        yield template.program(ts)
 
 
-def _timestep_result(grid, conv, t, ir, ms):
-    """One mission row from timestep ``t``'s MipSolution, or the MopschedError
-    of its solve; ``ir`` is its program, an IR or a TimestepProgram."""
+def _timestep_result(grid, conv, program, ms):
+    """A timestep's mission row from its program and its MipSolution, or the
+    MopschedError of its solve: (status, p, q, objective, network loss,
+    converter loss, baseline loss, tightness, error message or None), in kW."""
     s_base = grid.s_base_kva
-    baseline_kw = ir.loss_model["sigma"] * s_base
+    baseline_kw = program.loss_model["sigma"] * s_base
     m = conv.m
-    if isinstance(ms, MopschedError):
+    failed = isinstance(ms, MopschedError)
+    if failed or ms.incumbent is None:
         # a failed timestep is data, not a reason to abort the horizon
-        ms, status, error = None, "error", str(ms)
-    else:
-        status = ms.status
-    if ms is None or ms.incumbent is None:
-        out = dict(
-            t=t,
-            status=status,
-            p=np.zeros(m),
-            q=np.zeros(m),
-            obj=np.nan,
-            ntwk=np.nan,
-            conv_loss=np.nan,
-            baseline=baseline_kw,
-            tight=np.nan,
-        )
-        if ms is None:
-            out["error"] = error
-        return out
+        status, error = ("error", str(ms)) if failed else (ms.status, None)
+        return status, np.zeros(m), np.zeros(m), np.nan, np.nan, np.nan, baseline_kw, np.nan, error
     sol = ms.incumbent
     p = np.array([sol.primal[f"P_c[{i + 1}]"] for i in range(m)]) * s_base
     q = np.array([sol.primal[f"Q_c[{i + 1}]"] for i in range(m)]) * s_base
-    return dict(
-        t=t,
-        status=status,
-        p=p,
-        q=q,
-        obj=ms.objective * s_base,
-        ntwk=sol.primal["P_loss_ntwk"] * s_base,
-        conv_loss=sum(sol.primal[f"P_loss_conv[{i + 1}]"] for i in range(m)) * s_base,
-        baseline=baseline_kw,
-        tight=_solver.check_relaxation_tightness(ir, sol),
-    )
+    obj, ntwk = ms.objective * s_base, sol.primal["P_loss_ntwk"] * s_base
+    conv_loss = sum(sol.primal[f"P_loss_conv[{i + 1}]"] for i in range(m)) * s_base
+    tight = _solver.check_relaxation_tightness(program, sol)
+    return ms.status, p, q, obj, ntwk, conv_loss, baseline_kw, tight, None
 
 
 def _solve_share(task, k, shares):
-    """Results of the timesteps t = k, k + shares, k + 2*shares, ... of ``task``.
+    """Mission rows of the timesteps t = k, k + shares, k + 2*shares, ... of ``task``.
 
-    The timesteps are solved by ``mip.solve_misocp_many`` in windows of
-    ``mip.window_width`` timesteps.  A window's programs share their level's
-    compiled form (``_timestep_programs``), so its programs, searches and
-    batches stay within a few times the solver's byte budget.
+    ``mip.solve_misocp_many`` draws the share's programs in windows; a
+    window's programs share their level's compiled form
+    (``_timestep_programs``), so its programs, searches and batches stay
+    within a few times the solver's byte budget.
     """
     grid, conv, horizon, cfg, settings = task
     programs = _timestep_programs(grid, conv, horizon, range(k, horizon.tau, shares))
-    results = []
-    for t, first in programs:
-        window = [(t, first), *itertools.islice(programs, _mip.window_width(first) - 1)]
-        solved = _mip.solve_misocp_many([program for _, program in window], cfg, settings)
-        results += [
-            _timestep_result(grid, conv, t, program, ms) for (t, program), ms in zip(window, solved)
-        ]
-    return results
+    return [
+        _timestep_result(grid, conv, program, ms)
+        for program, ms in _mip.solve_misocp_many(programs, cfg, settings)
+    ]
 
 
 def _thread_count():
@@ -322,8 +298,8 @@ def schedule_horizon(grid, conv, horizon, cfg=None, settings=None):
             for k, future in futures.items():
                 results[k::shares] = future.result()
 
-    p_mp = np.vstack([r["p"] for r in results])
-    q_mp = np.vstack([r["q"] for r in results])
+    status, p_mp, q_mp, obj, ntwk, conv_loss, baseline, tight, errors = zip(*results)
+    p_mp, q_mp = np.vstack(p_mp), np.vstack(q_mp)
     s_mp = np.hypot(p_mp, q_mp)
     s_total_kva = conv.s_total * grid.s_base_kva
     eps_kva = EC_EPS_FRACTION * s_total_kva
@@ -334,37 +310,34 @@ def schedule_horizon(grid, conv, horizon, cfg=None, settings=None):
         s_mp=s_mp,
         ec_series=ec,
         mec=int(ec.max()) if tau else 0,
-        status=[r["status"] for r in results],
-        objective_kw=np.array([r["obj"] for r in results]),
-        ntwk_loss_kw=np.array([r["ntwk"] for r in results]),
-        conv_loss_kw=np.array([r["conv_loss"] for r in results]),
-        baseline_ntwk_loss_kw=np.array([r["baseline"] for r in results]),
-        tightness=np.array([r["tight"] for r in results]),
+        status=list(status),
+        objective_kw=np.array(obj),
+        ntwk_loss_kw=np.array(ntwk),
+        conv_loss_kw=np.array(conv_loss),
+        baseline_ntwk_loss_kw=np.array(baseline),
+        tightness=np.array(tight),
         eps_kva=eps_kva,
         s_total_kva=s_total_kva,
         timestep_hours=horizon.timestep_hours,
         cardinality=horizon.cardinality_limit,
-        errors={r["t"]: r["error"] for r in results if "error" in r},
+        errors={t: msg for t, msg in enumerate(errors) if msg is not None},
     )
 
 
-def summarize(profiles, baseline_loss_series):
-    """Cross-run report: losses, reductions, EC distributions, and per run
-    the count of each timestep status and the message of each ``error`` step.
+def summarize(profiles):
+    """Cross-run report: losses, reductions, EC distributions, and per run,
+    in the order of ``profiles``, the count of each timestep status and the
+    message of each ``error`` step.
 
-    ``baseline_loss_series`` is the no-converter network loss per timestep
-    (kW).  The unconstrained run, when present, anchors the
-    fraction-of-reduction metric for each cardinality level.
+    The first profile's no-converter network loss per timestep (kW) is the
+    baseline of every reduction.  The unconstrained run, when present,
+    anchors the fraction-of-reduction metric for each cardinality level.
     """
     profiles = list(profiles)
     if not profiles:
         raise ValidationError("no profiles to summarize")
     tau = profiles[0].tau
-    baseline = np.asarray(baseline_loss_series, dtype=float)
-    if baseline.shape != (tau,):
-        raise ValidationError(
-            f"baseline series length {baseline.shape} does not match horizon {tau}"
-        )
+    baseline = profiles[0].baseline_ntwk_loss_kw
     for p in profiles:
         if p.tau != tau:
             raise ValidationError("profiles cover different horizons")

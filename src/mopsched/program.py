@@ -23,9 +23,10 @@ once on first use and shared by every solve of the program.
 The timesteps of a cardinality level differ only in data: the voltage rows'
 and the DER pin's right-hand sides, and the loss gradient lam and constant
 sigma in the loss epigraph.  A ``ProgramTemplate`` compiles one timestep in
-full and gives every other timestep a ``TimestepProgram``: the template's
-form with those entries rewritten, and the records that the solver, the
-branch-and-bound search and the mission read.  No IR rows are built for it.
+full and gives every timestep, that one included, a ``TimestepProgram``:
+the template's form with those entries rewritten, and the records that the
+solver, the branch-and-bound search and the mission read.  No IR rows are
+built for it.
 """
 
 from __future__ import annotations
@@ -462,12 +463,12 @@ class TimestepProgram(NamedTuple):
 
 
 class ProgramTemplate:
-    """A level's program, compiled once and re-valued for its other timesteps.
+    """A level's program, compiled once and re-valued for each of its timesteps.
 
     ``ir`` is the program ``build_timestep_program`` made on ``grid`` for one
     timestep of the level.  ``program(ts)`` gives the TimestepProgram of any
-    other timestep of the level (same converter, cardinality limit and
-    monitored buses): ``ir``'s standard form with the entries ``_entries``
+    timestep of the level, that one included (same converter, cardinality
+    limit and monitored buses): ``ir``'s standard form with the entries ``_entries``
     sets rewritten in its matrix and right-hand side, sharing the form's
     columns, cone layout and c.  It writes the loss rows' entry on every x
     variable, +0.0 where lam_j is 0 as a full compile leaves it, so a

@@ -73,7 +73,7 @@ NUMERICAL_FAILURE = "numerical_failure"
 # width: 5 instances of an ieee33 branch-and-bound relaxation (KKT 136), 7 of
 # an unconstrained ieee33 program (KKT 119), 45 of a 5-bus DER program with
 # binaries (KKT 50) and 68 of an unconstrained one (KKT 41).  A horizon's
-# windows are sized by it (mip.window_width), so a wider batch also holds more
+# windows are sized by it (mip._window_width), so a wider batch also holds more
 # programs and searches in memory: 5-bus windows of 45 and 68 run the
 # benchmark's 5bus_der workload about a fifth faster than windows of 24,
 # for about 3 % more peak resident memory.

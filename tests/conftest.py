@@ -123,10 +123,10 @@ def fail_solve_when(monkeypatch, when, exc):
     """Make the solve of each timestep where ``when(t, program)`` holds raise ``exc``.
 
     The failure is raised from the timestep's branch-and-bound search, the
-    per-timestep entry point of ``mip.solve_misocp_many``.  The timestep is
-    read where the horizon makes each timestep's program,
-    ``mission._timestep_programs``, so the rule holds in whichever process
-    solves that timestep.
+    per-timestep entry point of ``mip.solve_misocp_many``.  Each program is
+    paired with its timestep where the horizon makes them, from the
+    ``steps`` of ``mission._timestep_programs(grid, conv, horizon, steps)``,
+    so the rule holds in whichever process solves that timestep.
     """
     from mopsched import mission
 
@@ -134,10 +134,10 @@ def fail_solve_when(monkeypatch, when, exc):
     programs = mission._timestep_programs
     search = mission._mip._branch_and_bound
 
-    def recording(*args):
-        for t, program in programs(*args):
+    def recording(grid, conv, horizon, steps):
+        for t, program in zip(steps, programs(grid, conv, horizon, steps)):
             timestep_of[id(program)] = t
-            yield t, program
+            yield program
 
     def failing(program, *args, **kwargs):
         t = timestep_of.get(id(program))  # None for a program the horizon did not make

@@ -90,7 +90,7 @@ MALFORMED_ENTRIES = {
     "load_without_profile": (lambda cfg: cfg["loads"][2].pop("profile"), "load entry 2 has no 'profile'"),
     "load_peak_not_number": (
         lambda cfg: cfg["loads"][0].update(peak_kvar="x"),
-        "load entry 0 peak_kvar is not a number",
+        "load entry 0 peak_kvar must be a number, got 'x'",
     ),
     "dc_der_without_profile": (
         lambda cfg: cfg["converter"]["dc_der"].pop("profile"),
@@ -113,6 +113,26 @@ OUT_OF_RANGE_NETWORKS = {
     "s_base_tiny": ("s_base_kva", 1e-200, "pu of the network base"),
     "slack_voltage_zero": ("slack_voltage_pu", [0.0, 0.0], "slack voltage magnitude"),
     "slack_voltage_tiny": ("slack_voltage_pu", [1e-300, 0.0], "slack voltage magnitude"),
+}
+
+# case -> (edit of the network document, text the error must contain)
+NON_NUMBER_NETWORKS = {
+    "r_pu_boolean": (lambda net: net["branches"][0].update(r_pu=True), "r_pu must be a number, got True"),
+    "r_pu_string": (lambda net: net["branches"][0].update(r_pu="0.01"), "r_pu must be a number, got '0.01'"),
+    "x_pu_boolean": (lambda net: net["branches"][1].update(x_pu=False), "x_pu must be a number, got False"),
+    "b_shunt_pu_string": (
+        lambda net: net["branches"][0].update(b_shunt_pu="0"),
+        "b_shunt_pu must be a number, got '0'",
+    ),
+    "s_base_string": (lambda net: net.update(s_base_kva="1000"), "s_base_kva must be a number, got '1000'"),
+    "slack_booleans": (
+        lambda net: net.update(slack_voltage_pu=[True, False]),
+        "slack_voltage_pu must be a number, got True",
+    ),
+    "slack_imaginary_string": (
+        lambda net: net.update(slack_voltage_pu=[1.0, "0"]),
+        "slack_voltage_pu must be a number, got '0'",
+    ),
 }
 
 BAD_SETTINGS = {
@@ -174,6 +194,9 @@ NUMBER_KEYS = {
     "v_min_pu": lambda cfg, v: cfg["voltage"].update(v_min_pu=v),
     "v_max_pu": lambda cfg, v: cfg["voltage"].update(v_max_pu=v),
     "timestep_hours": lambda cfg, v: cfg.update(timestep_hours=v),
+    "peak_kw": lambda cfg, v: cfg["loads"][0].update(peak_kw=v),
+    "peak_kvar": lambda cfg, v: cfg["loads"][1].update(peak_kvar=v),
+    "dc_der peak_kw": lambda cfg, v: cfg["converter"]["dc_der"].update(peak_kw=v),
 }
 
 
@@ -373,18 +396,31 @@ class TestRun:
         assert f"{section} {key} must be" in result.output
         assert not Path(cfg["output_dir"]).exists()
 
-    @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_NETWORKS))
-    def test_out_of_range_network_exits_2(self, small_config, tmp_path, case):
+    @staticmethod
+    def run_on_network(small_config, tmp_path, edit):
+        """``mopsched run`` on the 5-bus network document after ``edit`` of it."""
         path, cfg = small_config
-        key, value, message = OUT_OF_RANGE_NETWORKS[case]
         net = json.loads(cli._fixture_path("network_5bus.json").read_text())
-        net[key] = value
+        edit(net)
         cfg["network"] = _write(tmp_path / "network.json", json.dumps(net).encode())
         path.write_text(json.dumps(cfg))
         result = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert not Path(cfg["output_dir"]).exists()
+        return result
+
+    @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_NETWORKS))
+    def test_out_of_range_network_exits_2(self, small_config, tmp_path, case):
+        key, value, message = OUT_OF_RANGE_NETWORKS[case]
+        result = self.run_on_network(small_config, tmp_path, lambda net: net.update({key: value}))
         assert result.exit_code == 2, result.output
         assert message in result.output
-        assert not Path(cfg["output_dir"]).exists()
+
+    @pytest.mark.parametrize("case", sorted(NON_NUMBER_NETWORKS))
+    def test_network_number_not_real_exits_2(self, small_config, tmp_path, case):
+        edit, message = NON_NUMBER_NETWORKS[case]
+        result = self.run_on_network(small_config, tmp_path, edit)
+        assert result.exit_code == 2, result.output
+        assert message in result.output
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_SHAPES))
     def test_malformed_shape_exits_2(self, small_config, tmp_path, monkeypatch, case):

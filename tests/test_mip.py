@@ -167,8 +167,9 @@ class TestSolveMisocpMany:
             instance5(grid5, cardinality=2, p_der=0.12),
         ]
         cfg = M.BnBConfig(rel_gap=1e-6, abs_gap=1e-7)
-        many = M.solve_misocp_many(irs, cfg)
-        assert len(many) == len(irs)
+        pairs = list(M.solve_misocp_many(irs, cfg))
+        assert [id(program) for program, _ in pairs] == list(map(id, irs))
+        many = [result for _, result in pairs]
         for ir, got in zip(irs, many):
             try:
                 want = M.solve_misocp(ir, cfg)
@@ -178,6 +179,38 @@ class TestSolveMisocpMany:
             assert_same_solution(got, want)
         assert isinstance(many[7], ValidationError)
         assert [many[i].status for i in (5, 6)] == ["infeasible", "infeasible"]
+
+
+class TestStreamIsLazy:
+    """``solve_misocp_many`` draws its programs a window at a time, so a
+    horizon holds one window's programs and searches, never the whole stream."""
+
+    @pytest.mark.parametrize("n, width", [(UNCONSTRAINED, 75), (1, 96)])
+    def test_draws_one_window_at_a_time(self, grid5, monkeypatch, n, width):
+        ir = instance5(grid5, cardinality=n)
+        drawn = []
+
+        def programs():
+            for i in range(width + 4):  # a full window, then a short one
+                drawn.append(i)
+                yield ir
+
+        widths, drawn_by_drive = [], []
+        drive = M._drive
+
+        def driving(searches):
+            widths.append(len(searches))
+            drawn_by_drive.append(len(drawn))
+            return drive(searches)
+
+        monkeypatch.setattr(M, "_drive", driving)
+        results = M.solve_misocp_many(programs())
+        assert drawn == []
+        program, first = next(results)
+        assert program is ir and first.status == "optimal"
+        assert len(drawn) <= M._window_width(ir) == width
+        assert len(list(results)) == width + 3
+        assert widths == [width, 4] and drawn_by_drive == [width, width + 4]
 
 
 FAILED = S.ConicSolution(S.NUMERICAL_FAILURE, {}, {})
@@ -241,14 +274,14 @@ class TestSearchFailurePaths:
 
 
 class TestBatchWidth:
-    """A horizon solves its timesteps in windows of ``window_width``: as many
+    """A horizon solves its timesteps in windows of ``_window_width``: as many
     root relaxations as the solver's byte budget holds, twice as many for a
     level with binaries.  A wider window holds more programs and searches at
     once and raises peak memory."""
 
     @pytest.mark.parametrize("n, width", [(UNCONSTRAINED, 7), (1, 10), (2, 10), (3, 10)])
     def test_ieee33(self, grid33, conv33, bg33, n, width):
-        assert M.window_width(instance33(grid33, conv33, bg33, cardinality=n)) == width
+        assert M._window_width(instance33(grid33, conv33, bg33, cardinality=n)) == width
 
     @pytest.mark.parametrize("n", [UNCONSTRAINED, 1, 2])
     @pytest.mark.parametrize("p_der", [0.0, 0.12])
@@ -256,4 +289,4 @@ class TestBatchWidth:
         # batches of 75 and 68 (KKT 39 and 41, a dc-link DER) unconstrained,
         # 48 and 45 (KKT 48 and 50) with binaries
         width = {0.0: 75, 0.12: 68} if n == UNCONSTRAINED else {0.0: 96, 0.12: 90}
-        assert M.window_width(instance5(grid5, cardinality=n, p_der=p_der)) == width[p_der]
+        assert M._window_width(instance5(grid5, cardinality=n, p_der=p_der)) == width[p_der]

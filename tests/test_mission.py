@@ -256,7 +256,7 @@ class TestSummarize:
     def test_zero_profile_against_own_baseline(self, grid5, conv5):
         hz = small_horizon(tau=2, demand=False)
         mp = MS.schedule_horizon(grid5, conv5, hz)
-        summ = MS.summarize([mp], mp.objective_kw)
+        summ = MS.summarize([dataclasses.replace(mp, baseline_ntwk_loss_kw=mp.objective_kw)])
         run = summ["runs"][0]
         assert run["loss_reduction_kwh"] == pytest.approx(0.0, abs=1e-12)
         assert run["ec_histogram"] == {"0": 2, "1": 0, "2": 0}
@@ -266,24 +266,19 @@ class TestSummarize:
         hz = small_horizon(tau=2)
         a = MS.schedule_horizon(grid5, conv5, hz)
         b = MS.schedule_horizon(grid5, conv5, hz)
-        summ = MS.summarize([a, b], a.baseline_ntwk_loss_kw)
+        summ = MS.summarize([a, b])
         assert summ["runs"][0] == summ["runs"][1]
         assert summ["runs"][1]["fraction_of_unconstrained_reduction"] == pytest.approx(1.0)
 
-    def test_mismatched_horizon_rejected(self, grid5, conv5):
-        mp = MS.schedule_horizon(grid5, conv5, small_horizon(tau=2))
-        with pytest.raises(ValidationError, match="length"):
-            MS.summarize([mp], np.zeros(3))
-
     def test_no_profiles_rejected(self):
         with pytest.raises(ValidationError, match="^no profiles to summarize$"):
-            MS.summarize([], np.zeros(2))
+            MS.summarize([])
 
     def test_profiles_over_different_horizons_rejected(self, grid5, conv5):
         mp = MS.schedule_horizon(grid5, conv5, small_horizon(tau=2))
         longer = dataclasses.replace(mp, p_mp=np.zeros((3, mp.m)))
         with pytest.raises(ValidationError, match="^profiles cover different horizons$"):
-            MS.summarize([mp, longer], mp.baseline_ntwk_loss_kw)
+            MS.summarize([mp, longer])
 
 
 class TestMissionCsv:

@@ -453,8 +453,8 @@ def records(program):
 
 
 class TestProgramTemplate:
-    """A level's timesteps re-valued from its first timestep's form carry the
-    bits a full compile of each gives."""
+    """A level's timesteps, the first included, re-valued from its first
+    timestep's form carry the bits a full compile of each gives."""
 
     @staticmethod
     def level(config, level, monitored=None):
@@ -482,19 +482,18 @@ class TestProgramTemplate:
         assert hz.tau == 96 and conv.has_dc_der == (config == "5bus")
         full = []
         build = mission.build_timestep_program
-        monkeypatch.setattr(mission, "build_timestep_program", lambda *a: full.append(a) or build(*a))
+        monkeypatch.setattr(mission, "build_timestep_program", lambda *a: full.append(build(*a)) or full[-1])
         programs = list(mission._timestep_programs(grid, conv, hz, range(hz.tau)))
-        assert len(full) == 1 and [t for t, _ in programs] == list(range(96))
-        first = programs[0][1].standard_form
-        for t, program in programs:
+        assert len(full) == 1 and len(programs) == 96
+        compiled = full[0].standard_form  # the template's form
+        for t, program in enumerate(programs):
             ir = mission._timestep_program(grid, conv, hz, t)
             assert form_bytes(program) == form_bytes(ir), t
             assert records(program) == records(ir), t
-            if t:
-                sf = program.standard_form
-                assert isinstance(program, TimestepProgram)
-                assert sf.c is first.c and sf.columns is first.columns
-                assert sf.M is not first.M and sf.A.base is sf.M
+            sf = program.standard_form
+            assert isinstance(program, TimestepProgram)
+            assert sf.c is compiled.c and sf.columns is compiled.columns
+            assert sf.M is not compiled.M and sf.A.base is sf.M
 
     @pytest.mark.parametrize(
         "load, zero_lam",
@@ -503,10 +502,10 @@ class TestProgramTemplate:
     )
     def test_a_changed_zero_loss_entry_is_re_valued(self, grid5, conv5, load, zero_lam, monkeypatch):
         """A loss-gradient entry that is exactly 0 where its loads are off (the
-        grid's own gradient is 0 there) and nonzero elsewhere: each later
-        timestep is re-valued from the first, whichever of them is 0, with a
-        full compile's bits, and solves as its full compile does when presolve
-        substitutes that entry's variable through the loss rows."""
+        grid's own gradient is 0 there) and nonzero elsewhere: every
+        timestep is re-valued from the first one's compile, whichever of them
+        is 0, with a full compile's bits, and solves as its full compile does
+        when presolve substitutes that entry's variable through the loss rows."""
         from mopsched import mission
 
         lam = grid5.full_lam.copy()
@@ -525,11 +524,9 @@ class TestProgramTemplate:
         monkeypatch.setattr(mission, "build_timestep_program", lambda *a: full.append(a[2]) or build(*a))
         programs = list(mission._timestep_programs(grid, conv5, hz, range(3)))
         assert len(full) == 1 and full[0].background_injections["bus_2"] == -(0.18 + 0.09j) * load[0]
-        assert [type(program) for _, program in programs] == [
-            ConicProgramIR, TimestepProgram, TimestepProgram
-        ]
-        assert [program.loss_model["lam"][0] == 0.0 for _, program in programs] == zero_lam
-        for t, program in programs:
+        assert [type(program) for program in programs] == [TimestepProgram] * 3
+        assert [program.loss_model["lam"][0] == 0.0 for program in programs] == zero_lam
+        for t, program in enumerate(programs):
             ir = mission._timestep_program(grid, conv5, hz, t)
             assert form_bytes(program) == form_bytes(ir), t
             # leg 1 off zeroes its cone, so presolve fixes P_c[1], the x
@@ -537,4 +534,4 @@ class TestProgramTemplate:
             fixings = {"z[1]": 0.0}
             assert_same_solution(S.solve_socp(program, fixings), S.solve_socp(ir, fixings))
         with pytest.raises(ValidationError, match="no dc-link DER"):
-            ProgramTemplate(grid, programs[0][1]).program(replace(full[0], p_der=0.1))
+            ProgramTemplate(grid, build(grid, conv5, full[0])).program(replace(full[0], p_der=0.1))

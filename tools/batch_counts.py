@@ -13,9 +13,10 @@ level runs as one share, its windows in timestep order.  Module functions
 are wrapped from outside to count, per level:
 
     full_compiles        programs compiled in full by ``build_timestep_program``
-    instantiated         timesteps whose program was re-valued from a
-                         compiled one: tau minus the full compiles
-    windows              ``mip.solve_misocp_many`` calls
+    instantiated         timesteps re-valued from a compile made for an
+                         earlier timestep: tau minus the full compiles
+    windows              windows of ``mip.solve_misocp_many``, counted as
+                         ``mip._drive`` calls
     waves                ``solver.solve_socp_many`` calls
     batches              interior-point batches (``solver._solve_conelp_batch``)
     batch_iterations     lockstep iterations summed over batches; a batch runs
@@ -63,12 +64,12 @@ def counted(doc):
     originals = [
         (mission, "schedule_horizon"),
         (mission, "build_timestep_program"),
-        (mip, "solve_misocp_many"),
+        (mip, "_drive"),
         (solver, "solve_socp_many"),
         (solver, "_solve_conelp_batch"),
     ]
     saved = [(module, name, getattr(module, name)) for module, name in originals]
-    schedule, build, many, socp_many, batch = (fn for _, _, fn in saved)
+    schedule, build, drive, socp_many, batch = (fn for _, _, fn in saved)
 
     def count(key, by=1):
         current[key] += by
@@ -86,7 +87,7 @@ def counted(doc):
 
     def windowing(*args, **kwargs):
         count("windows")
-        return many(*args, **kwargs)
+        return drive(*args, **kwargs)
 
     def waving(*args, **kwargs):
         count("waves")

@@ -4,10 +4,10 @@ Usage (from the repository root):
 
     python3 tools/program_memory.py
 
-For each level of the ``ieee33`` and ``5bus`` fixture configs, compiles the
-level's first timestep in full through ``mission._timestep_programs``, then
-keeps every other timestep's program (timesteps 1 to tau - 1, each re-valued
-from the first) and prints the bytes ``tracemalloc`` sees allocated and still
+For each level of the ``ieee33`` and ``5bus`` fixture configs, draws the
+level's first timestep's program from ``mission._timestep_programs`` (the
+level's one full compile happens there), then keeps every other timestep's
+program (timesteps 1 to tau - 1, each re-valued from that compile) and prints the bytes ``tracemalloc`` sees allocated and still
 held for them, divided by their count: what each further program of a window
 costs.  The figures are Python allocations only and do not depend on the
 machine.
@@ -28,11 +28,11 @@ from mopsched import cli, mission  # noqa: E402
 def per_program_bytes(grid, conv, horizon):
     """(re-valued programs, bytes held per program) of one level."""
     programs = mission._timestep_programs(grid, conv, horizon, range(horizon.tau))
-    next(programs)  # the full compile
+    next(programs)  # the full compile, and timestep 0 re-valued from it
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        kept = [program for _, program in programs]
+        kept = list(programs)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -170,6 +170,14 @@ def _drive(searches):
     return results
 
 
+def _write_node_log(trace, rows):
+    """Write the node log CSV ``trace``, one line per row; None writes nothing."""
+    if trace is not None:
+        with open(trace, "w") as fh:
+            fh.write("node,bound,incumbent,open,fixings\n")
+            fh.writelines(",".join(str(v) for v in row) + "\n" for row in rows)
+
+
 def _branch_and_bound(ir, cfg=None, settings=None, trace=None):
     """The body of ``solve_misocp``, as a generator of the SOCPs it needs solved.
 
@@ -183,19 +191,23 @@ def _branch_and_bound(ir, cfg=None, settings=None, trace=None):
     trace_rows = [] if trace is not None else None
 
     if not ir.binaries:
+        # one node, logged as the root of a search would be
         sol = yield ir, {}, settings
         if sol.status == _solver.OPTIMAL:
+            bound = _solver.dual_objective(sol)
+            _write_node_log(trace, [(1, bound, np.inf, 0, "")])
             return MipSolution(
                 status="optimal",
                 incumbent=sol,
                 objective=sol.objective,
-                bound=_solver.dual_objective(sol),
+                bound=bound,
                 gap_abs=0.0,
                 gap_rel=0.0,
                 nodes_explored=1,
                 fixings={},
             )
         if sol.status == _solver.INFEASIBLE:
+            _write_node_log(trace, [])
             return MipSolution("infeasible", None, None, None, None, None, 1, {})
         raise MopschedError(f"continuous solve failed with status {sol.status}")
     if set(ir.cardinality.get("indicators", ())) != set(ir.binaries):
@@ -272,12 +284,7 @@ def _branch_and_bound(ir, cfg=None, settings=None, trace=None):
         open_bound = incumbent_obj
     global_bound = min(pruned_bound, open_bound)
 
-    if trace is not None:
-        with open(trace, "w") as fh:
-            fh.write("node,bound,incumbent,open,fixings\n")
-            for row in trace_rows:
-                fh.write(",".join(str(v) for v in row) + "\n")
-
+    _write_node_log(trace, trace_rows)
     if incumbent_fix is None:
         if status == "node_limit":
             return MipSolution("node_limit", None, None, global_bound, None, None, nodes_explored, {})

@@ -48,8 +48,8 @@ Pipeline for a program IR:  take its standard form, compiled once per IR
 -> fix the given binaries, relax the others to [0, 1] by their bound rows
 -> singleton and empty row presolve (``_Presolved``), which selects rows and
 columns of the form -> Ruiz equilibration of the batch's stacks ->
-interior-point solve -> unscale -> full-variable solution, and per-row duals
-scattered back onto the form's rows when first read.
+interior-point solve -> unscale -> full-variable solution, with the
+presolved program's objective, dual objective, residuals and gap.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -104,26 +104,10 @@ class SolverSettings:
             object.__setattr__(self, name, count_setting(f"solver {name}", getattr(self, name), 0))
 
 
-class _Duals:
-    """``ConicSolution.duals``: the per-row duals, or a function of no
-    arguments that recovers them, called on first read."""
-
-    def __get__(self, sol, owner=None):
-        if sol is None:
-            raise AttributeError("duals")  # so that the field has no default
-        if callable(sol.__dict__["duals"]):
-            sol.__dict__["duals"] = sol.__dict__["duals"]()
-        return sol.__dict__["duals"]
-
-    def __set__(self, sol, value):
-        sol.__dict__["duals"] = value
-
-
 @dataclass
 class ConicSolution:
     status: str
     primal: dict
-    duals: dict = _Duals()
     objective: object = None
     gap: object = None
     relgap: object = None
@@ -504,8 +488,6 @@ def _solve_conelp_batch(c, A, b, G, h, dims, st, traces):
                 y=y,
                 z=z,
                 s=s,
-                tau=float(tau),
-                kappa=float(v_r[-1]),
                 iterations=it + 1,
                 **dict(zip(_METRICS, map(float, metrics_r))),
                 **extra,
@@ -635,8 +617,7 @@ def _solve_conelp_batch(c, A, b, G, h, dims, st, traces):
                     scale = -1.0 / by_hz[r]
                     return dict(cert_y=y[r] * scale, cert_z=z[r] * scale, cert_residual=float(cert_inf[r]))
                 if unbounded[r]:
-                    scale = -1.0 / cx[r]
-                    return dict(cert_x=x[r] * scale, cert_s=s[r] * scale, cert_residual=float(cert_unb[r]))
+                    return dict(cert_residual=float(cert_unb[r]))
                 return {}
 
             finish(done, status, metrics, it, certificate)
@@ -754,8 +735,6 @@ class _Presolved:
         self.fixed = {}  # column -> value, in fixing order
         self.pending = []  # columns fixed but not yet substituted
         self.c0 = sf.c0
-        self.removed_eq_events = []  # (form row, column) in elimination order
-        self.cone_zero_vars = set()
 
         fixings = dict(fixings or {})
         unknown = set(fixings) - set(ir.binaries)
@@ -830,7 +809,6 @@ class _Presolved:
                 elif r < p:
                     if abs(coef) >= 1e-12:
                         self._fix(j, rhs / coef)
-                        self.removed_eq_events.append((r, j))
                     elif abs(rhs) > _FEAS_TOL:
                         raise _Infeasible(f"degenerate equality row {r}")
                 elif coef > 0 and rhs / coef <= 1e-12 and j in heads:
@@ -847,7 +825,6 @@ class _Presolved:
         name = self.names[head]
         self.cones.remove(k)
         self._fix(head, 0.0)
-        self.cone_zero_vars.add(head)
         start = len(self.sf.b) + self.sf.starts[k]
         stop = start + self.sf.dims[1][k]
         self.live[start:stop] = False
@@ -862,7 +839,6 @@ class _Presolved:
             if live:
                 ((j, cf),) = live
                 self._fix(j, -shift / cf)
-                self.cone_zero_vars.add(j)
             elif abs(shift) > _FEAS_TOL:
                 raise _Infeasible(f"cone on {name} forces {shift:.3e} = 0")
 
@@ -874,36 +850,6 @@ class _Presolved:
         return sf.c[free], A, rhs[eq], G, rhs[len(sf.b) + g_rows]
 
 
-def _reconstruct_duals(pre, y, z):
-    """Per-row duals on the original IR, recovering duals of presolved rows.
-
-    ``y`` and ``z`` are the presolved program's duals; scattered onto the
-    form's rows they leave a dropped row's dual at zero.  Rows eliminated
-    while fixing a variable get duals from the stationarity conditions
-    c + A'y + G'z = 0 of those variables (small least-squares solve); rows
-    swallowed by a zeroed cone are reported as zero.
-    """
-    sf = pre.sf
-    y_full = np.zeros(len(sf.b))
-    y_full[pre.eq] = y
-    z_full = np.zeros(len(sf.h))
-    z_full[pre.g_rows] = z
-    events = [(row, j) for row, j in pre.removed_eq_events if j not in pre.cone_zero_vars]
-    if events:
-        rows, cols = (list(a) for a in zip(*events))
-        grad = sf.c[cols] + y_full @ sf.A[:, cols] + z_full @ sf.G[:, cols]
-        try:
-            sol = np.linalg.lstsq(sf.A[rows][:, cols].T, -grad, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            sol = np.zeros(len(events))
-        y_full[rows] = sol
-    return {
-        "equalities": y_full.tolist(),
-        "inequalities": z_full[: pre.n_ineq].tolist(),
-        "soc_cones": [z_full[s : s + q].tolist() for s, q in zip(sf.starts, sf.dims[1])],
-    }
-
-
 def _prepare(ir, fixings, st):
     """A _Presolved request, or the infeasible ConicSolution when presolve
     proves it; ValidationError for a fixing that is no binary's 0 or 1, and
@@ -912,7 +858,7 @@ def _prepare(ir, fixings, st):
         pre = _Presolved(ir, fixings, st)
     except _Infeasible as inf:
         info = {"presolve": str(inf), "certificate_residual": 0.0}
-        return ConicSolution(INFEASIBLE, {}, {}, iterations=0, info=info)
+        return ConicSolution(INFEASIBLE, {}, iterations=0, info=info)
     if not (len(pre.free) and len(pre.g_rows)):
         raise ValidationError("program has no conic part")
     return pre
@@ -929,13 +875,13 @@ def _conic_solution(pre, raw, scales):
         denom = -(b @ cert_y + h @ cert_z)
         resid = np.linalg.norm(A.T @ cert_y + G.T @ cert_z) / max(denom, 1e-300)
         info = {"certificate_residual": float(resid)}
-        return ConicSolution(INFEASIBLE, {}, {}, iterations=raw["iterations"], info=info)
+        return ConicSolution(INFEASIBLE, {}, iterations=raw["iterations"], info=info)
     if raw["status"] == UNBOUNDED:
         info = {"certificate_residual": float(raw.get("cert_residual", np.nan))}
-        return ConicSolution(UNBOUNDED, {}, {}, iterations=raw["iterations"], info=info)
+        return ConicSolution(UNBOUNDED, {}, iterations=raw["iterations"], info=info)
     if raw["status"] != OPTIMAL:
         info = {k: raw.get(k) for k in ("pres", "dres", "gap", "relgap")}
-        return ConicSolution(NUMERICAL_FAILURE, {}, {}, iterations=raw["iterations"], info=info)
+        return ConicSolution(NUMERICAL_FAILURE, {}, iterations=raw["iterations"], info=info)
 
     # Unscale and evaluate honest metrics on the original data.
     x = d * raw["x"]
@@ -954,7 +900,7 @@ def _conic_solution(pre, raw, scales):
     dres = np.linalg.norm(A.T @ y + G.T @ z + c) / max(1.0, np.linalg.norm(c))
     if max(pres, dres) > pre.st.final_tol or relgap > 10 * pre.st.final_tol:
         info = {"pres": pres, "dres": dres, "relgap": relgap, "note": "post-unscale check"}
-        return ConicSolution(NUMERICAL_FAILURE, {}, {}, iterations=raw["iterations"], info=info)
+        return ConicSolution(NUMERICAL_FAILURE, {}, iterations=raw["iterations"], info=info)
 
     primal = {pre.names[j]: val for j, val in pre.fixed.items()}
     primal.update(zip([pre.names[j] for j in pre.free], x.tolist()))
@@ -962,7 +908,6 @@ def _conic_solution(pre, raw, scales):
     return ConicSolution(
         status=OPTIMAL,
         primal=primal,
-        duals=partial(_reconstruct_duals, pre, y, z),
         objective=float(objective),
         gap=gap,
         relgap=float(relgap),
@@ -1022,8 +967,9 @@ def solve_socp(ir, fixings=None, settings=None, trace=None):
     """Solve the continuous program: binaries named in ``fixings`` fixed to
     their 0 or 1, the others relaxed to [0, 1].
 
-    Returns a ConicSolution with full-variable primal values, per-row duals,
-    residuals measured on the original (unscaled) data, and the duality gap.
+    Returns a ConicSolution with full-variable primal values, the dual
+    objective ``info["dcost"]``, residuals measured on the original
+    (unscaled) data, and the duality gap.
     ``trace`` names a CSV file for the interior-point iterations, written
     when the program reaches the interior-point method.  Raises
     ValidationError for a malformed request, as ``solve_socp_many`` does.
@@ -1054,7 +1000,8 @@ def full_violation(ir, sol):
 
 
 def dual_objective(sol):
-    """Certified lower bound on the optimum (dual objective at the solution)."""
+    """The dual objective at the final iterate, B&B's node bound: its dual
+    residual may reach ``feastol``, so it is not certified (ROADMAP item 12)."""
     return sol.info.get("dcost", sol.objective)
 
 

@@ -220,6 +220,16 @@ def _non_utf8_profiles(tmp_path, cfg):
     return _run(tmp_path)
 
 
+def _ec_input(data):
+    """The case of ``mopsched ec`` on a mission file holding ``data``."""
+    return lambda d, cfg: ["ec", "--input", _write(d / "mission.csv", data), "--s-total", "400"]
+
+
+def _profiles_file(data):
+    """The case of ``mopsched run --profiles`` on a profiles file holding ``data``."""
+    return lambda d, cfg: _run(d, "--profiles", _write(d / "profiles.csv", data))
+
+
 def _repeated_level(tmp_path, cfg):
     cfg["cardinality"] = [1, "unconstrained", "unconstrained"]
     return _run(tmp_path)
@@ -252,11 +262,25 @@ BAD_INPUTS = {
     "ec_input_not_utf8": lambda d, cfg: [
         "ec", "--input", _write(d / "mission.csv", b"t,S_c_1\n0,\xff\n"), "--s-total", "400"
     ],
+    "ec_input_empty": _ec_input(b""),
+    "ec_input_header_only": _ec_input(b"t,S_c_1,S_c_2\n"),
+    "ec_input_short_row": _ec_input(b"t,S_c_1,S_c_2\n0,1.0\n"),
+    "profiles_empty": _profiles_file(b""),
+    "profiles_field_count": _profiles_file(b"timestep,solar\n0,0.5,0.4\n"),
     "cardinality_token": lambda d, cfg: _run(d, "--cardinality", "1,x"),
     "cardinality_repeated": lambda d, cfg: _run(d, "--cardinality", "1,1"),
     "cardinality_repeated_config": _repeated_level,
     "profiles_repeated_column": _repeated_profile_columns,
     "load_at_the_slack": _load_at_the_slack,
+}
+
+# the cases whose error names the CSV file given on the command line
+NAMES_ITS_FILE = {
+    "ec_input_empty",
+    "ec_input_header_only",
+    "ec_input_short_row",
+    "profiles_empty",
+    "profiles_field_count",
 }
 
 
@@ -499,6 +523,8 @@ class TestRun:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "error:" in result.output
+        if case in NAMES_ITS_FILE:
+            assert any(arg.endswith(".csv") and arg in result.output for arg in args)
         assert not Path(cfg["output_dir"]).exists()
 
     def test_singular_load_block_exits_2(self, small_config, tmp_path):
@@ -584,6 +610,17 @@ class TestRun:
         assert (out / "ir_unconstrained.json").exists()
         assert solver_trace.read_text().startswith("iter,pcost,dcost,gap")
         assert mip_trace.read_text().startswith("node,bound")
+
+    def test_mip_trace_of_a_continuous_first_level(self, small_config, tmp_path):
+        """A first level without binaries logs its one node, as a search logs its root."""
+        path, cfg = small_config
+        mip_trace = tmp_path / "nodes.csv"
+        args = ["--cardinality", "unconstrained,1", "--mip-trace", str(mip_trace)]
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(path), *args])
+        assert result.exit_code == 0, result.output
+        header, node = mip_trace.read_text().splitlines()
+        assert header == "node,bound,incumbent,open,fixings"
+        assert node.startswith("1,") and node.endswith(",inf,0,")
 
     def test_cardinality_override(self, small_config):
         path, cfg = small_config

@@ -213,7 +213,7 @@ class TestStreamIsLazy:
         assert widths == [width, 4] and drawn_by_drive == [width, width + 4]
 
 
-FAILED = S.ConicSolution(S.NUMERICAL_FAILURE, {}, {})
+FAILED = S.ConicSolution(S.NUMERICAL_FAILURE, {})
 
 
 def run_search(ir, answer):
@@ -269,7 +269,7 @@ class TestSearchFailurePaths:
         requests, result = run_search(ir, lambda i, r: FAILED)
         assert requests == [(ir, {}, None)]
         assert str(result) == "continuous solve failed with status numerical_failure"
-        _, ms = run_search(ir, lambda i, r: S.ConicSolution(S.INFEASIBLE, {}, {}))
+        _, ms = run_search(ir, lambda i, r: S.ConicSolution(S.INFEASIBLE, {}))
         assert (ms.status, ms.incumbent, ms.nodes_explored) == ("infeasible", None, 1)
 
 

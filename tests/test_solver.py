@@ -38,26 +38,6 @@ def make_min_norm_ir():
     ).validate()
 
 
-def stationarity_residual(ir, sol):
-    """inf-norm of c + A^T y + G^T z over all IR variables."""
-    duals = sol.duals
-    worst = 0.0
-    for v in ir.variables:
-        g = ir.objective.coeffs.get(v, 0.0)
-        for i, row in enumerate(ir.equalities):
-            g += row.coeffs.get(v, 0.0) * duals["equalities"][i]
-        for i, row in enumerate(ir.inequalities):
-            g += row.coeffs.get(v, 0.0) * duals["inequalities"][i]
-        for ci, cone in enumerate(ir.soc_cones):
-            zc = duals["soc_cones"][ci]
-            if v == cone.head:
-                g -= zc[0]
-            for j, expr in enumerate(cone.tail):
-                g -= expr.coeffs.get(v, 0.0) * zc[1 + j]
-        worst = max(worst, abs(g))
-    return worst
-
-
 interior_soc = st.builds(
     lambda tail, margin: np.concatenate([[np.linalg.norm(tail) + margin], tail]),
     st.lists(st.floats(-5, 5), min_size=2, max_size=4).map(np.array),
@@ -174,25 +154,27 @@ class TestAgainstGridSearch:
 
 
 class TestCertifiedQuality:
-    def test_residuals_and_gap_at_optimal(self, grid5):
-        ir = instance5(grid5)
-        sol = S.solve_socp(ir)
+    @pytest.mark.parametrize(
+        "p_der, cardinality, fixings",
+        [
+            (0.0, "unconstrained", None),
+            # presolve eliminates the der_pin row
+            (0.12, "unconstrained", None),
+            (0.0, 1, {"z[1]": 0.0, "z[2]": 1.0}),
+            (0.12, 1, {"z[1]": 1.0, "z[2]": 0.0}),
+        ],
+        ids=["plain", "der_pin", "n1_leg2", "n1_der_leg1"],
+    )
+    def test_residuals_and_gap_at_optimal(self, grid5, p_der, cardinality, fixings):
+        """The presolved program's residuals, the dual one its stationarity,
+        and the full program's primal feasibility."""
+        ir = instance5(grid5, cardinality=cardinality, p_der=p_der)
+        sol = S.solve_socp(ir, fixings)
         assert sol.status == S.OPTIMAL
         assert sol.primal_residual <= 1e-8
         assert sol.dual_residual <= 1e-8
         assert sol.relgap <= 1e-8
         assert S.full_violation(ir, sol) <= 1e-8
-
-    def test_kkt_stationarity_with_reconstructed_duals(self, grid5):
-        ir = instance5(grid5)
-        sol = S.solve_socp(ir)
-        assert stationarity_residual(ir, sol) <= 1e-8
-
-    def test_kkt_stationarity_with_der_presolve(self, grid5):
-        # der_pin is eliminated by presolve; its dual must be reconstructed
-        ir = instance5(grid5, p_der=0.12)
-        sol = S.solve_socp(ir)
-        assert stationarity_residual(ir, sol) <= 1e-8
 
     def test_weak_duality_at_optimum(self, grid5):
         ir = instance5(grid5)
@@ -276,11 +258,6 @@ class TestFixings:
                 assert got.objective == want.objective
                 assert got.info["dcost"] == want.info["dcost"]
                 assert got.primal == dict(want.primal, **(fixed or {}))
-                # one inequality dual per row of the program passed in
-                assert got.duals["equalities"] == want.duals["equalities"]
-                assert got.duals["soc_cones"] == want.duals["soc_cones"]
-                rows = len(ir.inequalities)
-                assert got.duals["inequalities"] == want.duals["inequalities"][:rows]
 
     def test_fixings_must_be_binary_valued(self, grid5):
         ir = instance5(grid5, cardinality=1)
@@ -498,7 +475,7 @@ class TestRelaxationTightness:
         ir = instance5(grid5, bg=None)
         primal = {v: 0.0 for v in ir.variables}
         primal["P_loss_ntwk"] = ir.loss_model["sigma"]
-        sol = S.ConicSolution(status=S.OPTIMAL, primal=primal, duals={})
+        sol = S.ConicSolution(status=S.OPTIMAL, primal=primal)
         assert S.check_relaxation_tightness(ir, sol) == 0.0
 
 

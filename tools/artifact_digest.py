@@ -18,14 +18,15 @@ name order (each file's name, size and bytes), and then ``total <sha256>``
 over those lines.  Two checkouts that print the same lines wrote byte-identical
 artifacts.  BLAS threads are pinned to 1 before numpy loads, because the last
 bits of a solve depend on the BLAS thread count.  Output files go to a
-temporary directory that is removed afterwards; nothing under ``perfbench/``
-is written.
+directory per workload and config seed under a temporary directory that is
+removed afterwards, so a horizon's digest covers only its own files; nothing
+under ``perfbench/`` is written.
 
 ``--expect TOTAL`` exits 1 with a message when the printed total differs
 from ``TOTAL``, so a change meant to keep every artifact byte-identical checks
 itself in one command.  Over all 160 horizons the total is currently
 
-    d5a50f72a41cfbaa9976e948d011d5f9ccc36aa8f77e6d6cc288aa02a1d58110
+    9cc50e98e973796fb9ac5d24f0c48adeca8fa15cd24657c4b0fea4c1d15879c3
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def main(argv):
         for name, seed in pairs:
             # the reference is keyed by config seed; a run's first document
             # carries the workload seed as its config seed
-            doc = workloads.config_docs(ROOT, name, int(seed), tmp)[0]
+            doc = workloads.config_docs(ROOT, name, int(seed), Path(tmp) / name)[0]
             cli.run(cli.load_config(doc))
             line = f"{name} {seed} {directory_digest(Path(doc['output_dir']))}"
             print(line, flush=True)

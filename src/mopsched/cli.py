@@ -315,6 +315,11 @@ def _write_plots(outdir, label, profile, unconstrained):
         )
 
 
+def _write_csv(path, header, rows):
+    """Write the CSV file ``path``: the ``header`` line, then each row's field strings joined by commas."""
+    Path(path).write_text(header + "\n" + "".join(",".join(row) + "\n" for row in rows))
+
+
 def run(cfg, dump_ir=False, solver_trace=None, mip_trace=None):
     """Execute all configured cardinality levels; returns artifact paths."""
     net, lg, conv, horizon = _build_setup(cfg)
@@ -335,9 +340,17 @@ def run(cfg, dump_ir=False, solver_trace=None, mip_trace=None):
                 ir = _mission._timestep_program(lg, conv, horizon(entry), 0)
                 (outdir / f"ir_{_label(entry)}.json").write_text(serialize_ir(ir) + "\n")
         if solver_trace:
-            _solver.solve_socp(ir0, {}, settings, trace=solver_trace)
+            iterations = []
+            _solver.solve_socp_many([(ir0, {}, settings)], [iterations])
+            if iterations:  # none when presolve settles the program
+                rows = ([f"{v:.12g}" for v in row] for row in iterations)
+                _write_csv(solver_trace, "iter,pcost,dcost,gap,pres,dres,tau,kappa", rows)
         if mip_trace:
-            _mip.solve_misocp(ir0, bnb, settings, trace=mip_trace)
+            rows = (
+                [*map(str, node[:4]), ";".join(f"{z}={int(v)}" for z, v in sorted(node[4].items()))]
+                for node in _mip.solve_misocp(ir0, bnb, settings).nodes
+            )
+            _write_csv(mip_trace, "node,bound,incumbent,open,fixings", rows)
 
     profiles = [
         _mission.schedule_horizon(lg, conv, horizon(entry), bnb, settings)
@@ -416,11 +429,15 @@ def _oracle_checks(cfg, lg, conv, horizon, rng):
         t = int(rng.integers(0, hz.tau))
         n = int(rng.integers(0, m + 1))
         ir = _mission._timestep_program(lg, conv, replace(hz, cardinality_limit=n), t)
-        try:
-            ms = _mip.solve_misocp(ir, bnb, settings)
-            oc = _oracle.enumerate_supports(ir, n, settings)
-        except MopschedError as exc:  # a failed solve fails its check
-            checks.append((f"oracle_equivalence_{trial}", False, f"t={t} n={n}: {exc}"))
+        ms = _mip.solve_misocp(ir, bnb, settings)
+        failure = ms.message
+        if failure is None:
+            try:
+                oc = _oracle.enumerate_supports(ir, n, settings)
+            except MopschedError as exc:
+                failure = exc
+        if failure is not None:  # a failed solve fails its check
+            checks.append((f"oracle_equivalence_{trial}", False, f"t={t} n={n}: {failure}"))
             continue
         if ms.status == "infeasible" or oc.status == "infeasible":
             ok = ms.status == oc.status
@@ -478,10 +495,8 @@ def verify(cfg, lin_dir=None, report_path=None):
         checks += _linearization_compare(lg, lin_dir)
     if report_path is not None:
         Path(report_path).parent.mkdir(parents=True, exist_ok=True)
-        with open(report_path, "w") as fh:
-            fh.write("check,status,detail\n")
-            for name, ok, detail in checks:
-                fh.write(f"{name},{'pass' if ok else 'FAIL'},\"{detail}\"\n")
+        rows = ([name, "pass" if ok else "FAIL", f'"{detail}"'] for name, ok, detail in checks)
+        _write_csv(report_path, "check,status,detail", rows)
     return all(ok for _, ok, _ in checks), checks
 
 
@@ -496,7 +511,7 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except BrokenPipeError:
             raise  # click exits 1 quietly on a closed stdout
-        except (MopschedError, OSError, UnicodeDecodeError) as exc:
+        except (MopschedError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
 
@@ -603,10 +618,7 @@ def ec_cmd(input_path, s_total, eps, out):
     tol = eps if eps is not None else _mission.EC_EPS_FRACTION * s_total
     ec = [_mission.electrical_cardinality(row, tol) for row in s_mp]
     if out:
-        with open(out, "w") as fh:
-            fh.write("t,EC\n")
-            for t, v in enumerate(ec):
-                fh.write(f"{t},{v}\n")
+        _write_csv(out, "t,EC", ([str(t), str(v)] for t, v in enumerate(ec)))
     click.echo(f"eps_kva={tol:.10g}")
     click.echo(f"MEC={max(ec)}")
     click.echo("EC=" + ",".join(str(v) for v in ec))

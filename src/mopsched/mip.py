@@ -16,10 +16,11 @@ driver, ``_drive``, runs any number of searches in lockstep waves through
 ``solver.solve_socp_many``; ``solve_misocp`` hands it one search, and
 ``solve_misocp_many`` draws any stream of programs in windows and hands it
 one window's searches at a time.  The solver answers every request with a
-ConicSolution, a failure as its status; a search that cannot go on raises
-MopschedError, which ends that search alone.  Batching gives each SOCP the
-bits of a lone solve, so a search takes the same path and returns the same
-result either way.
+ConicSolution, a failure as its status, and every search ends in a
+MipSolution: one that cannot go on ends ``error``, with its message and the
+nodes it solved, and the other searches run on.  Only a malformed program
+raises.  Batching gives each SOCP the bits of a lone solve, so a search
+takes the same path and returns the same result either way.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import MopschedError, ValidationError, count_setting, real_setting
+from .errors import ValidationError, count_setting, real_setting
 from .program import EC_EPS_FRACTION
 from . import solver as _solver
 
@@ -49,7 +50,7 @@ class BnBConfig:
 
 @dataclass
 class MipSolution:
-    status: str  # optimal | gap_reached | infeasible | node_limit
+    status: str  # optimal | gap_reached | infeasible | node_limit | error
     incumbent: object  # ConicSolution with integral z, or None
     objective: object
     bound: object
@@ -57,6 +58,8 @@ class MipSolution:
     gap_rel: object
     nodes_explored: int
     fixings: dict
+    nodes: list  # (node, bound, incumbent, open, fixings dict) per node relaxation solved optimal
+    message: object = None  # why an ``error`` search could not go on
 
 
 def branch(node_fixed, z_values, binaries):
@@ -100,12 +103,10 @@ def _repair_support(ir, sol, fixed):
     return repaired
 
 
-def solve_misocp(ir, cfg=None, settings=None, trace=None):
+def solve_misocp(ir, cfg=None, settings=None):
     """Branch-and-bound MISOCP solve; delegates to the SOCP engine when the
-    program has no binaries.  ``trace`` names a CSV file for the B&B nodes."""
-    (result,) = _drive([_branch_and_bound(ir, cfg, settings, trace)])
-    if isinstance(result, MopschedError):
-        raise result
+    program has no binaries.  Returns the MipSolution."""
+    (result,) = _drive([_branch_and_bound(ir, cfg, settings)])
     return result
 
 
@@ -128,8 +129,9 @@ def solve_misocp_many(programs, cfg=None, settings=None):
 
     Draws the programs one window at a time, ``_window_width`` of the
     window's first, so only a window's programs and searches are held at
-    once.  Yields (program, its MipSolution or the MopschedError its solve
-    raised) for each program, in order.
+    once.  Yields (program, its MipSolution) for each program, in order.  A
+    program with binaries but no cardinality record for them raises
+    ValidationError when its window is solved.
     """
     programs = iter(programs)
     for first in programs:
@@ -143,8 +145,7 @@ def _drive(searches):
 
     Each unfinished search puts the SOCP it waits on into a wave, which
     ``solver.solve_socp_many`` solves in batches; then each runs on to its
-    next SOCP or its end.  Returns one entry per search, in order: its
-    MipSolution, or the MopschedError it raised.
+    next SOCP or its end.  Returns the MipSolution of each search, in order.
     """
     results = [None] * len(searches)
     waiting = []  # (search index, its generator, the SOCP request it waits on)
@@ -155,8 +156,6 @@ def _drive(searches):
             request = bnb.send(sol)
         except StopIteration as done:
             results[i] = done.value
-        except MopschedError as exc:
-            results[i] = exc
         else:
             waiting.append((i, bnb, request))
 
@@ -170,32 +169,28 @@ def _drive(searches):
     return results
 
 
-def _write_node_log(trace, rows):
-    """Write the node log CSV ``trace``, one line per row; None writes nothing."""
-    if trace is not None:
-        with open(trace, "w") as fh:
-            fh.write("node,bound,incumbent,open,fixings\n")
-            fh.writelines(",".join(str(v) for v in row) + "\n" for row in rows)
-
-
-def _branch_and_bound(ir, cfg=None, settings=None, trace=None):
+def _branch_and_bound(ir, cfg=None, settings=None):
     """The body of ``solve_misocp``, as a generator of the SOCPs it needs solved.
 
     Yields each continuous program to solve as a ``solver.solve_socp``
     argument tuple (ir, fixings, settings) and takes the ConicSolution back
-    by ``send``.  Returns the MipSolution, or raises MopschedError when a
-    continuous solve, a node relaxation and its retry, or the verification
-    solve ends neither optimal nor infeasible.
+    by ``send``.  Returns the MipSolution.  When a continuous solve, a node
+    relaxation and its retry, or the verification solve ends neither
+    optimal nor infeasible, the search ends ``error``, with the failure's
+    message and the nodes it solved before.  Raises ValidationError for
+    binaries that no cardinality record covers.
     """
     cfg = cfg or BnBConfig()
-    trace_rows = [] if trace is not None else None
+    nodes = []
+
+    def failed(message, nodes_explored):
+        return MipSolution("error", None, None, None, None, None, nodes_explored, {}, nodes, message)
 
     if not ir.binaries:
         # one node, logged as the root of a search would be
         sol = yield ir, {}, settings
         if sol.status == _solver.OPTIMAL:
             bound = _solver.dual_objective(sol)
-            _write_node_log(trace, [(1, bound, np.inf, 0, "")])
             return MipSolution(
                 status="optimal",
                 incumbent=sol,
@@ -205,11 +200,11 @@ def _branch_and_bound(ir, cfg=None, settings=None, trace=None):
                 gap_rel=0.0,
                 nodes_explored=1,
                 fixings={},
+                nodes=[(1, bound, np.inf, 0, {})],
             )
         if sol.status == _solver.INFEASIBLE:
-            _write_node_log(trace, [])
-            return MipSolution("infeasible", None, None, None, None, None, 1, {})
-        raise MopschedError(f"continuous solve failed with status {sol.status}")
+            return MipSolution("infeasible", None, None, None, None, None, 1, {}, nodes)
+        return failed(f"continuous solve failed with status {sol.status}", 1)
     if set(ir.cardinality.get("indicators", ())) != set(ir.binaries):
         raise ValidationError("program has binaries but no cardinality record for them")
 
@@ -252,18 +247,9 @@ def _branch_and_bound(ir, cfg=None, settings=None, trace=None):
         if sol.status == _solver.INFEASIBLE:
             continue
         if sol.status != _solver.OPTIMAL:
-            raise MopschedError(f"node relaxation failed with status {sol.status}")
+            return failed(f"node relaxation failed with status {sol.status}", nodes_explored)
         bound = max(bound, _solver.dual_objective(sol))
-        if trace_rows is not None:
-            trace_rows.append(
-                (
-                    nodes_explored,
-                    bound,
-                    incumbent_obj,
-                    len(heap),
-                    ";".join(f"{z}={int(v)}" for z, v in sorted(fixed.items())),
-                )
-            )
+        nodes.append((nodes_explored, bound, incumbent_obj, len(heap), fixed))
         if within_gap(bound):
             pruned_bound = min(pruned_bound, bound)
             continue  # fathomed by bound
@@ -284,11 +270,10 @@ def _branch_and_bound(ir, cfg=None, settings=None, trace=None):
         open_bound = incumbent_obj
     global_bound = min(pruned_bound, open_bound)
 
-    _write_node_log(trace, trace_rows)
     if incumbent_fix is None:
         if status == "node_limit":
-            return MipSolution("node_limit", None, None, global_bound, None, None, nodes_explored, {})
-        return MipSolution("infeasible", None, None, None, None, None, nodes_explored, {})
+            return MipSolution("node_limit", None, None, global_bound, None, None, nodes_explored, {}, nodes)
+        return MipSolution("infeasible", None, None, None, None, None, nodes_explored, {}, nodes)
     if status is None:
         tol0 = 1e-9 * max(1.0, abs(incumbent_obj))
         status = "optimal" if incumbent_obj - global_bound <= tol0 else "gap_reached"
@@ -296,9 +281,7 @@ def _branch_and_bound(ir, cfg=None, settings=None, trace=None):
     # Final verification solve with binaries hard-fixed (checks big-M semantics).
     final = yield ir, incumbent_fix, settings
     if final.status != _solver.OPTIMAL:
-        raise MopschedError(
-            f"incumbent re-verification failed with status {final.status}"
-        )
+        return failed(f"incumbent re-verification failed with status {final.status}", nodes_explored)
     obj = final.objective
     bound_out = min(global_bound, obj)
     gap_abs = max(0.0, obj - bound_out)
@@ -312,4 +295,5 @@ def _branch_and_bound(ir, cfg=None, settings=None, trace=None):
         gap_rel=gap_rel,
         nodes_explored=nodes_explored,
         fixings=dict(incumbent_fix),
+        nodes=nodes,
     )

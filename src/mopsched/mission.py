@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MopschedError, ValidationError
+from .errors import ValidationError
+from .profiles import csv_reader
 from .program import (
     EC_EPS_FRACTION,
     UNCONSTRAINED,
@@ -209,17 +210,15 @@ def _timestep_programs(grid, conv, horizon, steps):
 
 
 def _timestep_result(grid, conv, program, ms):
-    """A timestep's mission row from its program and its MipSolution, or the
-    MopschedError of its solve: (status, p, q, objective, network loss,
-    converter loss, baseline loss, tightness, error message or None), in kW."""
+    """A timestep's mission row from its program and its MipSolution: (status,
+    p, q, objective, network loss, converter loss, baseline loss, tightness,
+    error message or None), in kW."""
     s_base = grid.s_base_kva
     baseline_kw = program.loss_model["sigma"] * s_base
     m = conv.m
-    failed = isinstance(ms, MopschedError)
-    if failed or ms.incumbent is None:
+    if ms.incumbent is None:
         # a failed timestep is data, not a reason to abort the horizon
-        status, error = ("error", str(ms)) if failed else (ms.status, None)
-        return status, np.zeros(m), np.zeros(m), np.nan, np.nan, np.nan, baseline_kw, np.nan, error
+        return ms.status, np.zeros(m), np.zeros(m), np.nan, np.nan, np.nan, baseline_kw, np.nan, ms.message
     sol = ms.incumbent
     p = np.array([sol.primal[f"P_c[{i + 1}]"] for i in range(m)]) * s_base
     q = np.array([sol.primal[f"Q_c[{i + 1}]"] for i in range(m)]) * s_base
@@ -422,8 +421,7 @@ def write_mission_csv(profile, path):
 
 def read_mission_apparent_powers(path):
     """S_c columns of a mission-profile CSV, as a tau x m array (kVA)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with csv_reader(path, "mission file") as reader:
         try:
             header = next(reader)
         except StopIteration:

@@ -12,6 +12,7 @@ timestep, values normalized to [0, 1].
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -84,9 +85,18 @@ def write_profiles_csv(path, profiles):
             writer.writerow([i] + [f"{profiles[name][i]:.10g}" for name in names])
 
 
-def read_profiles_csv(path):
+@contextmanager
+def csv_reader(path, what):
+    """A ``csv.reader`` of the UTF-8 file at ``path``, named ``what`` in its errors."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        try:
+            yield csv.reader(fh)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{what} {path} is not UTF-8: {exc}") from None
+
+
+def read_profiles_csv(path):
+    with csv_reader(path, "profiles file") as reader:
         try:
             header = next(reader)
         except StopIteration:

@@ -936,12 +936,14 @@ def solve_socp_many(requests, traces=None):
     """Solve continuous programs in lockstep batches, each exactly as ``solve_socp`` would.
 
     ``requests`` is a sequence of (ir, fixings, settings), the arguments of
-    ``solve_socp``, and ``traces`` per request None or a list for its
-    interior-point iteration rows.  Requests whose presolved programs have
-    equal dimensions and settings share interior-point batches of at most
-    ``_batch_size`` instances.  Returns one ConicSolution per request, in
-    order; a request that cannot go on ends ``numerical_failure``.  A
-    malformed request raises its ValidationError before any batch runs.
+    ``solve_socp``, and ``traces`` per request None or a list that gets its
+    interior-point iteration rows, (iter, pcost, dcost, gap, pres, dres,
+    tau, kappa) each, when the request reaches the interior-point method.
+    Requests whose presolved programs have equal dimensions and settings
+    share interior-point batches of at most ``_batch_size`` instances.
+    Returns one ConicSolution per request, in order; a request that cannot
+    go on ends ``numerical_failure``.  A malformed request raises its
+    ValidationError before any batch runs.
     """
     traces = traces or [None] * len(requests)
     out = [None] * len(requests)
@@ -963,24 +965,17 @@ def solve_socp_many(requests, traces=None):
     return out
 
 
-def solve_socp(ir, fixings=None, settings=None, trace=None):
+def solve_socp(ir, fixings=None, settings=None):
     """Solve the continuous program: binaries named in ``fixings`` fixed to
     their 0 or 1, the others relaxed to [0, 1].
 
     Returns a ConicSolution with full-variable primal values, the dual
     objective ``info["dcost"]``, residuals measured on the original
-    (unscaled) data, and the duality gap.
-    ``trace`` names a CSV file for the interior-point iterations, written
-    when the program reaches the interior-point method.  Raises
-    ValidationError for a malformed request, as ``solve_socp_many`` does.
+    (unscaled) data, and the duality gap.  Raises ValidationError for a
+    malformed request, as ``solve_socp_many`` does, which also takes a list
+    for a request's interior-point iteration rows.
     """
-    trace_rows = [] if trace is not None else None
-    (sol,) = solve_socp_many([(ir, fixings, settings)], [trace_rows])
-    if trace_rows:
-        with open(trace, "w") as fh:
-            fh.write("iter,pcost,dcost,gap,pres,dres,tau,kappa\n")
-            for row in trace_rows:
-                fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+    (sol,) = solve_socp_many([(ir, fixings, settings)])
     return sol
 
 

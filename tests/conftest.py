@@ -120,15 +120,18 @@ def random_pcc_injection(rng, m, s_total):
 
 
 def fail_solve_when(monkeypatch, when, exc):
-    """Make the solve of each timestep where ``when(t, program)`` holds raise ``exc``.
+    """Make the solve of each timestep where ``when(t, program)`` holds fail with ``exc``.
 
-    The failure is raised from the timestep's branch-and-bound search, the
-    per-timestep entry point of ``mip.solve_misocp_many``.  Each program is
+    The failure comes from the timestep's branch-and-bound search, the
+    per-timestep entry point of ``mip.solve_misocp_many``: a MopschedError
+    ends the search as an ``error`` MipSolution with its message, as a
+    failed solve does, and any other exception is raised.  Each program is
     paired with its timestep where the horizon makes them, from the
     ``steps`` of ``mission._timestep_programs(grid, conv, horizon, steps)``,
     so the rule holds in whichever process solves that timestep.
     """
     from mopsched import mission
+    from mopsched.errors import MopschedError
 
     timestep_of = {}  # id of a program the horizon made -> its timestep
     programs = mission._timestep_programs
@@ -142,6 +145,8 @@ def fail_solve_when(monkeypatch, when, exc):
     def failing(program, *args, **kwargs):
         t = timestep_of.get(id(program))  # None for a program the horizon did not make
         if t is not None and when(t, program):
+            if isinstance(exc, MopschedError):
+                return mission._mip.MipSolution("error", None, None, None, None, None, 0, {}, [], str(exc))
             raise exc
         return (yield from search(program, *args, **kwargs))
 

@@ -240,6 +240,11 @@ def _load_at_the_slack(tmp_path, cfg):
     return _run(tmp_path)
 
 
+def _converter_without_pcc_buses(tmp_path, cfg):
+    del cfg["converter"]["pcc_buses"]
+    return _run(tmp_path)
+
+
 def _repeated_profile_columns(tmp_path, cfg):
     # every column twice: read as one column each, they would make a 4-step
     # horizon of interleaved values from a 2-row file
@@ -272,6 +277,10 @@ BAD_INPUTS = {
     "cardinality_repeated_config": _repeated_level,
     "profiles_repeated_column": _repeated_profile_columns,
     "load_at_the_slack": _load_at_the_slack,
+    "ec_input_not_utf8_header": _ec_input(b"t,S_c_\xff\n0,1.0\n"),
+    "profiles_flag_not_utf8": _profiles_file(b"timestep,solar\n0,\xff\n"),
+    "config_flag_missing": lambda d, cfg: ["run"],
+    "converter_without_pcc_buses": _converter_without_pcc_buses,
 }
 
 # the cases whose error names the CSV file given on the command line
@@ -279,8 +288,16 @@ NAMES_ITS_FILE = {
     "ec_input_empty",
     "ec_input_header_only",
     "ec_input_short_row",
+    "ec_input_not_utf8_header",
     "profiles_empty",
     "profiles_field_count",
+    "profiles_flag_not_utf8",
+}
+
+# the cases whose whole error line is pinned
+ERROR_LINES = {
+    "config_flag_missing": "error: --config is required (path or fixture name)\n",
+    "converter_without_pcc_buses": "error: malformed run config: KeyError('pcc_buses')\n",
 }
 
 
@@ -525,6 +542,8 @@ class TestRun:
         assert "error:" in result.output
         if case in NAMES_ITS_FILE:
             assert any(arg.endswith(".csv") and arg in result.output for arg in args)
+        if case in ERROR_LINES:
+            assert result.output == ERROR_LINES[case]
         assert not Path(cfg["output_dir"]).exists()
 
     def test_singular_load_block_exits_2(self, small_config, tmp_path):
@@ -610,6 +629,27 @@ class TestRun:
         assert (out / "ir_unconstrained.json").exists()
         assert solver_trace.read_text().startswith("iter,pcost,dcost,gap")
         assert mip_trace.read_text().startswith("node,bound")
+
+    def test_traces_of_a_failing_search(self, tmp_path):
+        """A first timestep whose every solve fails writes its traces and
+        leaves the run as it is without them: the node log is its header."""
+        doc = json.loads((Path(cli.__file__).parent / "fixtures" / "config_5bus.json").read_text())
+        doc.update(solver={"max_iter": 1}, synthetic={"days": 1, "steps_per_day": 4})
+        solver_trace, mip_trace = tmp_path / "ipm.csv", tmp_path / "nodes.csv"
+        outputs = []
+        for name, flags in (
+            ("plain", []),
+            ("traced", ["--solver-trace", str(solver_trace), "--mip-trace", str(mip_trace)]),
+        ):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(dict(doc, output_dir=str(tmp_path / name))))
+            result = CliRunner().invoke(cli.main, ["run", "--config", str(path), *flags])
+            assert result.exit_code == 0, result.output
+            outputs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0]["summary.json"])["runs"][0]["status_counts"] == {"error": 4}
+        assert mip_trace.read_text() == "node,bound,incumbent,open,fixings\n"
+        assert solver_trace.read_text().startswith("iter,pcost,dcost,gap,pres,dres,tau,kappa\n0,")
 
     def test_mip_trace_of_a_continuous_first_level(self, small_config, tmp_path):
         """A first level without binaries logs its one node, as a search logs its root."""
@@ -720,6 +760,20 @@ class TestVerify:
         assert len(oracle) == 3 and all(row["status"] == "FAIL" for row in oracle)
         assert any(row["detail"].endswith("failed with status numerical_failure") for row in oracle)
         assert "FAIL  oracle_equivalence_0" in r.output
+
+    def test_a_failed_enumeration_is_a_fail_row(self, small_config, monkeypatch):
+        path, cfg = small_config
+
+        def failing(ir, n, settings=None):
+            raise cli.MopschedError("enumeration failed")
+
+        monkeypatch.setattr(cli._oracle, "enumerate_supports", failing)
+        r = CliRunner().invoke(cli.main, ["verify", "--config", str(path)])
+        assert r.exit_code == 1, r.output
+        rows = read_csv_columns(Path(cfg["output_dir"]) / "verify_report.csv")
+        oracle = [row for row in rows if row["check"].startswith("oracle_equivalence")]
+        assert len(oracle) == 3 and all(row["status"] == "FAIL" for row in oracle)
+        assert all(row["detail"].endswith(": enumeration failed") for row in oracle)
 
     def test_corrupted_lambda_fails(self, tmp_path):
         runner = CliRunner()

@@ -8,11 +8,11 @@ import pytest
 from mopsched import mip as M
 from mopsched import oracle as O
 from mopsched import solver as S
-from mopsched.errors import MopschedError, ValidationError
+from mopsched.errors import ValidationError
 from mopsched.mission import electrical_cardinality
 from mopsched.program import UNCONSTRAINED, build_timestep_program
 
-from conftest import assert_same_solution, instance5, instance33
+from conftest import assert_same_solution, instance5, instance33, same_value
 
 
 class TestBranchRule:
@@ -143,12 +143,11 @@ class TestSolveMisocp:
         ms = M.solve_misocp(ir)
         assert ms.status == "infeasible"
 
-    def test_trace_file(self, grid33, conv33, bg33, tmp_path):
-        path = tmp_path / "nodes.csv"
-        M.solve_misocp(instance33(grid33, conv33, bg33, cardinality=2), trace=str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "node,bound,incumbent,open,fixings"
-        assert len(lines) >= 2
+    def test_trace_file(self, grid33, conv33, bg33):
+        ms = M.solve_misocp(instance33(grid33, conv33, bg33, cardinality=2))
+        numbers = [node[0] for node in ms.nodes]  # an infeasible node is not logged
+        assert numbers and numbers == sorted(set(numbers)) and numbers[-1] <= ms.nodes_explored
+        assert ms.nodes[0][2:] == (np.inf, 0, {})  # the root: no incumbent, nothing open, nothing fixed
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -163,7 +162,6 @@ class TestSolveMisocpMany:
             instance5(grid5, cardinality=1),
             instance5(grid5, cardinality=0, p_der=0.1),  # infeasible
             instance33(grid33, conv33, bg33, cardinality=2, v=(1.0, 1.005)),  # infeasible
-            replace(instance5(grid5, cardinality=1), cardinality={}),  # raises
             instance5(grid5, cardinality=2, p_der=0.12),
         ]
         cfg = M.BnBConfig(rel_gap=1e-6, abs_gap=1e-7)
@@ -171,14 +169,12 @@ class TestSolveMisocpMany:
         assert [id(program) for program, _ in pairs] == list(map(id, irs))
         many = [result for _, result in pairs]
         for ir, got in zip(irs, many):
-            try:
-                want = M.solve_misocp(ir, cfg)
-            except MopschedError as exc:
-                assert type(got) is type(exc) and str(got) == str(exc)
-                continue
-            assert_same_solution(got, want)
-        assert isinstance(many[7], ValidationError)
+            assert_same_solution(got, M.solve_misocp(ir, cfg))
         assert [many[i].status for i in (5, 6)] == ["infeasible", "infeasible"]
+        # a malformed program raises out of the stream, as from solve_socp_many
+        malformed = replace(instance5(grid5, cardinality=1), cardinality={})
+        with pytest.raises(ValidationError, match="no cardinality record"):
+            next(M.solve_misocp_many([irs[4], malformed], cfg))
 
 
 class TestStreamIsLazy:
@@ -219,7 +215,7 @@ FAILED = S.ConicSolution(S.NUMERICAL_FAILURE, {})
 def run_search(ir, answer):
     """Drive ``_branch_and_bound`` on ``ir``, ``answer(i, request)`` giving the
     ConicSolution of its i-th SOCP request.  Returns the requests and the
-    search's result: its MipSolution, or the MopschedError it raised."""
+    search's MipSolution."""
     bnb = M._branch_and_bound(ir)
     requests, sol = [], None
     try:
@@ -228,8 +224,6 @@ def run_search(ir, answer):
             sol = answer(len(requests) - 1, requests[-1])
     except StopIteration as done:
         return requests, done.value
-    except MopschedError as exc:
-        return requests, exc
 
 
 def solved(i, request):
@@ -251,8 +245,8 @@ class TestSearchFailurePaths:
     def test_failed_retry_ends_the_search(self, grid5):
         requests, result = run_search(instance5(grid5, cardinality=1), lambda i, r: FAILED)
         assert len(requests) == 2
-        assert isinstance(result, MopschedError)
-        assert str(result) == "node relaxation failed with status numerical_failure"
+        assert (result.status, result.incumbent, result.nodes) == ("error", None, [])
+        assert result.message == "node relaxation failed with status numerical_failure"
 
     def test_failed_verification_ends_the_search(self, grid5):
         ir = instance5(grid5, cardinality=1)
@@ -262,13 +256,18 @@ class TestSearchFailurePaths:
         assert requests[last][1] == want.fixings and set(want.fixings) == set(ir.binaries)
         again, result = run_search(ir, lambda i, r: FAILED if i == last else solved(i, r))
         assert len(again) == len(requests)
-        assert str(result) == "incumbent re-verification failed with status numerical_failure"
+        assert (result.status, result.incumbent) == ("error", None)
+        assert result.message == "incumbent re-verification failed with status numerical_failure"
+        # the node log keeps every node solved before the verification failed
+        assert want.nodes and same_value(result.nodes, want.nodes)
+        assert result.nodes_explored == want.nodes_explored
 
     def test_continuous_solve(self, grid5):
         ir = instance5(grid5)
         requests, result = run_search(ir, lambda i, r: FAILED)
         assert requests == [(ir, {}, None)]
-        assert str(result) == "continuous solve failed with status numerical_failure"
+        assert (result.status, result.incumbent, result.nodes) == ("error", None, [])
+        assert result.message == "continuous solve failed with status numerical_failure"
         _, ms = run_search(ir, lambda i, r: S.ConicSolution(S.INFEASIBLE, {}))
         assert (ms.status, ms.incumbent, ms.nodes_explored) == ("infeasible", None, 1)
 

@@ -60,3 +60,25 @@ def test_artifact_digest_pins_two_reference_horizons():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_program_memory_runs_on_both_fixtures():
+    """``tools/program_memory.py`` reads ``cli._build_setup`` and
+    ``mission._timestep_programs``; it prints one line per fixture level.
+    The bytes per program depend on the Python build and are not pinned."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "program_memory.py")],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=ROOT,
+        timeout=300,
+    )
+    header, *lines = proc.stdout.splitlines()
+    assert header == "config level programs KiB_per_program"
+    assert [line.split()[:3] for line in lines] == [
+        ["ieee33", "n2", "95"],
+        ["ieee33", "unconstrained", "95"],
+        ["5bus", "n1", "47"],
+        ["5bus", "unconstrained", "47"],
+    ]
